@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import MISSING, fields, replace
+from typing import NamedTuple
 
-from .analysis import BoundReport, Verdict, bernoulli_bound
+from .analysis import BlowUpReport, Verdict, bernoulli_bound
 from .evolution import EvolutionLaw, LawKind, sigma_horizon, sigma_of_t, t_of_sigma
 from .initdata import InitKind, InitSpec
-from .mesh import Grid, RadialGrid, RectGrid, write_field_csv
+from .mesh import RadialGrid, RectGrid, write_field_csv
 from .params import Parameters, derive_indices
 from .solver import RunConfig, SystemKind, advance
 
@@ -125,61 +126,124 @@ PRESETS = {
 }
 
 
-# ------------------------------------------------------- config rendering
+# ---------------------------------------------------------- config schema
+
+# (parse, format) pairs
+_FLOAT = (float, repr)
+_INT = (int, repr)
+_STR = (str, str)
+_TIMES = (lambda raw: tuple(float(x) for x in raw.split(",") if x.strip()),
+          lambda ts: ",".join(repr(t) for t in ts))
+
+
+def _enum(kind):
+    return kind, lambda v: v.value
+
+
+_GRIDS = {"rect": RectGrid, "radial": RadialGrid}
+_GRID_NAMES = {cls: name for name, cls in _GRIDS.items()}
+
+
+def _grid_class(raw: str) -> type:
+    if raw not in _GRIDS:
+        raise ValueError("expected " + " or ".join(_GRIDS))
+    return _GRIDS[raw]
+
+
+class _Key(NamedTuple):
+    """One config-file key and the dataclass attribute it maps to.
+
+    The attribute is `dest`, or the key itself when `dest` is empty.  A key
+    without a default takes the dataclass's.  `flag` makes it a `run`
+    override (--dt, --end-time, ...).  The echo leaves out keys whose object
+    lacks the attribute, whose value is None or renders empty, or that are
+    not `shown` for that object.
+    """
+
+    section: str
+    key: str
+    conv: tuple
+    default: object = None
+    flag: bool = False
+    shown: Callable[[object], bool] = lambda obj: True
+    dest: str = ""
+
+    @property
+    def attr(self) -> str:
+        return self.dest or self.key
+
+
+def _spiky(init: InitSpec) -> bool:
+    return init.kind is InitKind.SPIKY
+
+
+_SCHEMA = (
+    _Key("run", "system", _enum(SystemKind), SystemKind.NONLOCAL_SIGMA),
+    _Key("run", "dt", _FLOAT, flag=True),
+    _Key("run", "end_time", _FLOAT, flag=True),
+    _Key("run", "blowup_threshold", _FLOAT, flag=True),
+    _Key("run", "quench_threshold", _FLOAT, flag=True),
+    _Key("run", "sample_stride", _INT),
+    _Key("run", "dt_safety", _FLOAT, flag=True),
+    _Key("run", "eta0", _FLOAT),
+    _Key("run", "v0", _FLOAT),
+    _Key("run", "snapshot_times", _TIMES),
+    _Key("params", "p", _FLOAT),
+    _Key("params", "q", _FLOAT),
+    _Key("params", "r", _FLOAT),
+    _Key("params", "s", _FLOAT),
+    _Key("params", "D1", _FLOAT),
+    _Key("params", "D2", _FLOAT),
+    _Key("params", "tau", _FLOAT),
+    _Key("evolution", "evolution", _enum(LawKind), LawKind.STATIC, dest="kind"),
+    _Key("evolution", "beta", _FLOAT),
+    _Key("evolution", "m", _FLOAT),
+    _Key("evolution", "dimension", _INT),
+    # the grid kind selects the grid class, which takes only its own keys
+    _Key("grid", "kind", (_grid_class, _GRID_NAMES.get), RectGrid, dest="__class__"),
+    _Key("grid", "nx", _INT, 128, flag=True),
+    _Key("grid", "ny", _INT, 128, flag=True),
+    _Key("grid", "M", _INT, 512, flag=True),
+    _Key("grid", "dimension", _INT, dest="dim"),  # default: the evolution dimension
+    _Key("grid", "outer_bc", _STR),
+    _Key("init", "init", _enum(InitKind), InitKind.CONSTANT, dest="kind"),
+    _Key("init", "c", _FLOAT, shown=lambda init: not _spiky(init)),
+    _Key("init", "delta", _FLOAT, shown=_spiky),
+    _Key("init", "lambda", _FLOAT, shown=_spiky, dest="lam"),
+)
+_FLAGS = tuple(k for k in _SCHEMA if k.flag)
+
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical key=value echo of a fully resolved run configuration."""
-    p, law, grid, init = cfg.params, cfg.law, cfg.grid, cfg.init
-    lines = [
-        "[run]",
-        f"system = {cfg.system.value}",
-        f"dt = {cfg.dt!r}",
-        f"end_time = {cfg.end_time!r}",
-        f"blowup_threshold = {cfg.blowup_threshold!r}",
-        f"quench_threshold = {cfg.quench_threshold!r}",
-        f"sample_stride = {cfg.sample_stride}",
-        f"dt_safety = {cfg.dt_safety!r}",
-    ]
-    if cfg.eta0 is not None:
-        lines.append(f"eta0 = {cfg.eta0!r}")
-    if cfg.v0 is not None:
-        lines.append(f"v0 = {cfg.v0!r}")
-    if cfg.snapshot_times:
-        lines.append("snapshot_times = " + ",".join(repr(t) for t in cfg.snapshot_times))
-    lines += [
-        "",
-        "[params]",
-        f"p = {p.p!r}",
-        f"q = {p.q!r}",
-        f"r = {p.r!r}",
-        f"s = {p.s!r}",
-        f"D1 = {p.D1!r}",
-        f"D2 = {p.D2!r}",
-        f"tau = {p.tau!r}",
-        "",
-        "[evolution]",
-        f"evolution = {law.kind.value}",
-        f"beta = {law.beta!r}",
-        f"m = {law.m!r}",
-        f"dimension = {law.dimension}",
-        "",
-        "[grid]",
-    ]
-    if isinstance(grid, RectGrid):
-        lines += ["kind = rect", f"nx = {grid.nx}", f"ny = {grid.ny}"]
-    else:
-        lines += ["kind = radial", f"M = {grid.M}",
-                  f"dimension = {grid.dim}", f"outer_bc = {grid.outer_bc}"]
-    lines += ["", "[init]", f"init = {init.kind.value}"]
-    if init.kind is InitKind.SPIKY:
-        lines += [f"delta = {init.delta!r}", f"lambda = {init.lam!r}"]
-    else:
-        lines += [f"c = {init.c!r}"]
-    return "\n".join(lines) + "\n"
+    sections = {"run": cfg, "params": cfg.params, "evolution": cfg.law,
+                "grid": cfg.grid, "init": cfg.init}
+    blocks = []
+    for section, obj in sections.items():
+        lines = [f"[{section}]"]
+        for k in (k for k in _SCHEMA if k.section == section):
+            value = getattr(obj, k.attr, None)
+            if value is None or not k.shown(obj):
+                continue
+            text = k.conv[1](value)
+            if text:
+                lines.append(f"{k.key} = {text}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _build(cls: type, section: str, kw: dict, path: str):
+    """cls(**kw) restricted to cls's fields, naming a missing required key."""
+    names = {f.name for f in fields(cls)}
+    for f in fields(cls):
+        if f.name not in kw and f.default is MISSING and f.default_factory is MISSING:
+            key = next(k.key for k in _SCHEMA if (k.section, k.attr) == (section, f.name))
+            raise ConfigError(f"missing [{section}] {key} in {path}")
+    return cls(**{a: v for a, v in kw.items() if a in names})
 
 
 def parse_config(path: str) -> RunConfig:
-    """Read a key=value config file into a RunConfig."""
+    """Read a key=value config file into a RunConfig; unknown keys are errors."""
     cp = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -189,75 +253,52 @@ def parse_config(path: str) -> RunConfig:
     except configparser.Error as e:
         raise ConfigError(f"config parse error: {e}") from e
 
-    def get(section, key, conv, default=None, required=False):
-        if not cp.has_option(section, key):
-            if required:
-                raise ConfigError(f"missing [{section}] {key} in {path}")
-            return default
-        raw = cp.get(section, key)
-        try:
-            return conv(raw)
-        except ValueError as e:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({e})") from e
+    # configparser lowercases keys, so matching is case-insensitive
+    schema = {(k.section, k.key.lower()): k for k in _SCHEMA}
+    kw: dict[str, dict] = {k.section: {} for k in _SCHEMA}
+    for k in _SCHEMA:
+        if k.default is not None:
+            kw[k.section][k.attr] = k.default
+    for section in cp.sections():
+        if section not in kw:
+            raise ConfigError(f"unknown section [{section}] in {path}")
+        for key, raw in cp.items(section):
+            k = schema.get((section, key))
+            if k is None:
+                raise ConfigError(f"unknown key [{section}] {key} in {path}")
+            try:
+                kw[section][k.attr] = k.conv[0](raw)
+            except ValueError as e:
+                raise ConfigError(
+                    f"bad value for [{section}] {k.key}: {raw!r} ({e})") from e
 
     try:
-        params = Parameters(
-            p=get("params", "p", float, required=True),
-            q=get("params", "q", float, required=True),
-            r=get("params", "r", float, required=True),
-            s=get("params", "s", float, required=True),
-            D1=get("params", "D1", float, 1.0),
-            D2=get("params", "D2", float, 1.0),
-            tau=get("params", "tau", float, 0.0),
-        )
-        kind = LawKind(get("evolution", "evolution", str, "static"))
-        law = EvolutionLaw(
-            kind,
-            beta=get("evolution", "beta", float, 0.0),
-            m=get("evolution", "m", float, 1.0 if kind is not LawKind.LOGISTIC else None,
-                  required=kind is LawKind.LOGISTIC),
-            dimension=get("evolution", "dimension", int, 2),
-        )
-        gkind = get("grid", "kind", str, "rect")
-        if gkind == "rect":
-            grid: Grid = RectGrid(get("grid", "nx", int, 128), get("grid", "ny", int, 128))
-        elif gkind == "radial":
-            grid = RadialGrid(
-                get("grid", "dimension", int, law.dimension),
-                get("grid", "M", int, 512),
-                get("grid", "outer_bc", str, "neumann"),
-            )
-        else:
-            raise ConfigError(f"unknown grid kind {gkind!r}")
-        ikind = InitKind(get("init", "init", str, "constant"))
-        init = InitSpec(
-            ikind,
-            c=get("init", "c", float, 2.0),
-            delta=get("init", "delta", float, 0.5),
-            lam=get("init", "lambda", float, 1.0),
-        )
-        snap = get("run", "snapshot_times", str, "")
-        snapshot_times = tuple(float(x) for x in snap.split(",") if x.strip())
-        return RunConfig(
-            system=SystemKind(get("run", "system", str, "nonlocal_sigma")),
-            params=params,
-            law=law,
-            grid=grid,
-            init=init,
-            dt=get("run", "dt", float, 5e-4),
-            end_time=get("run", "end_time", float, 1.0),
-            blowup_threshold=get("run", "blowup_threshold", float, 1e6),
-            quench_threshold=get("run", "quench_threshold", float, 1e-3),
-            sample_stride=get("run", "sample_stride", int, 20),
-            eta0=get("run", "eta0", float),
-            v0=get("run", "v0", float),
-            dt_safety=get("run", "dt_safety", float, 1.0),
-            snapshot_times=snapshot_times,
-        )
+        params = _build(Parameters, "params", kw["params"], path)
+        law = _build(EvolutionLaw, "evolution", kw["evolution"], path)
+        grid = kw["grid"].pop("__class__")
+        kw["grid"].setdefault("dim", law.dimension)
+        return _build(RunConfig, "run", dict(
+            kw["run"], params=params, law=law,
+            grid=_build(grid, "grid", kw["grid"], path),
+            init=_build(InitSpec, "init", kw["init"], path)), path)
     except (ValueError, TypeError) as e:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(f"invalid configuration in {path}: {e}") from e
+
+
+def _apply_overrides(cfg: RunConfig, ov: dict) -> RunConfig:
+    """Replace the flag keys present in ov (by attribute) on cfg and its grid."""
+    run, grid = {}, {}
+    for k in _FLAGS:
+        if k.attr in ov:
+            if k.section == "grid" and not hasattr(cfg.grid, k.attr):
+                raise ConfigError(f"{k.key} override does not apply to "
+                                  f"{_GRID_NAMES[type(cfg.grid)]} grids")
+            (grid if k.section == "grid" else run)[k.attr] = ov[k.attr]
+    if grid:
+        cfg = replace(cfg, grid=replace(cfg.grid, **grid))
+    return replace(cfg, **run) if run else cfg
 
 
 # ------------------------------------------------------------ run driver
@@ -286,6 +327,11 @@ def _bound_block(cfg: RunConfig) -> list[str]:
 
 def run_one(cfg: RunConfig, outdir: str) -> Verdict:
     """Execute one run and write config echo, series CSV, report, snapshots."""
+    return _run(cfg, outdir).verdict
+
+
+def _run(cfg: RunConfig, outdir: str) -> BlowUpReport:
+    """run_one, returning the whole report."""
     os.makedirs(outdir, exist_ok=True)
     echo = render_config(cfg)
     with open(os.path.join(outdir, "config.ini"), "w") as fh:
@@ -306,7 +352,7 @@ def run_one(cfg: RunConfig, outdir: str) -> Verdict:
     lines += ["# " + ln for ln in echo.rstrip("\n").split("\n")]
     with open(os.path.join(outdir, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return report.verdict
+    return report
 
 
 def run_preset(preset_id: str, outroot: str, overrides: dict | None = None) -> int:
@@ -317,44 +363,22 @@ def run_preset(preset_id: str, outroot: str, overrides: dict | None = None) -> i
     if overrides:
         runs = {name: _apply_overrides(cfg, overrides) for name, cfg in runs.items()}
     base = os.path.join(outroot, preset_id)
-    results = {}
+    reports = {}
     for name, cfg in runs.items():
-        verdict = run_one(cfg, os.path.join(base, name))
-        results[name] = (verdict, cfg)
-        print(f"[{preset_id}/{name}] verdict={verdict.value}")
-    _write_summary(base, preset_id, results)
-    bad = any(v is Verdict.NON_FINITE for v, _ in results.values())
+        reports[name] = _run(cfg, os.path.join(base, name))
+        print(f"[{preset_id}/{name}] verdict={reports[name].verdict.value}")
+    _write_summary(base, preset_id, reports)
+    bad = any(r.verdict is Verdict.NON_FINITE for r in reports.values())
     return 1 if bad else 0
 
 
-def _apply_overrides(cfg: RunConfig, ov: dict) -> RunConfig:
-    out = cfg
-    if "nx" in ov or "ny" in ov:
-        if not isinstance(cfg.grid, RectGrid):
-            raise ConfigError("nx/ny override applies to rectangle grids")
-        out = replace(out, grid=RectGrid(ov.get("nx", cfg.grid.nx), ov.get("ny", cfg.grid.ny)))
-    if "M" in ov:
-        if not isinstance(cfg.grid, RadialGrid):
-            raise ConfigError("M override applies to radial grids")
-        out = replace(out, grid=RadialGrid(cfg.grid.dim, ov["M"], cfg.grid.outer_bc))
-    for key in ("dt", "end_time", "blowup_threshold", "quench_threshold", "dt_safety"):
-        if key in ov:
-            out = replace(out, **{key: ov[key]})
-    return out
-
-
-def _write_summary(base: str, preset_id: str, results: dict) -> None:
+def _write_summary(base: str, preset_id: str, reports: dict[str, BlowUpReport]) -> None:
     lines = [f"preset={preset_id}"]
     events = []
-    for name, (verdict, cfg) in results.items():
-        rep_path = os.path.join(base, name, "report.txt")
-        t_ev = None
-        with open(rep_path) as fh:
-            for ln in fh:
-                if ln.startswith("event_time_t"):
-                    t_ev = float(ln.split("=")[1])
-        lines.append(f"run={name} verdict={verdict.value} event_time_t={t_ev}")
-        if verdict is Verdict.BLOW_UP and t_ev is not None:
+    for name, report in reports.items():
+        t_ev = None if report.event_time_t is None else float(report.event_time_t)
+        lines.append(f"run={name} verdict={report.verdict.value} event_time_t={t_ev}")
+        if report.verdict is Verdict.BLOW_UP and t_ev is not None:
             events.append((t_ev, name))
     if len(events) >= 2:
         order = " < ".join(n for _, n in sorted(events))
@@ -393,14 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     ap_run = sub.add_parser("run", help="run a preset or a config file")
     ap_run.add_argument("target", help="preset id (%s) or config path" % ",".join(sorted(PRESETS)))
     ap_run.add_argument("--outdir", default=None)
-    ap_run.add_argument("--nx", type=int)
-    ap_run.add_argument("--ny", type=int)
-    ap_run.add_argument("--M", type=int)
-    ap_run.add_argument("--dt", type=float)
-    ap_run.add_argument("--end-time", dest="end_time", type=float)
-    ap_run.add_argument("--blowup-threshold", dest="blowup_threshold", type=float)
-    ap_run.add_argument("--quench-threshold", dest="quench_threshold", type=float)
-    ap_run.add_argument("--dt-safety", dest="dt_safety", type=float)
+    for k in _FLAGS:
+        ap_run.add_argument("--" + k.key.replace("_", "-"), dest=k.attr, type=k.conv[0])
 
     ap_b = sub.add_parser("bounds", help="print the blow-up bound for a config")
     ap_b.add_argument("configpath")
@@ -420,10 +438,8 @@ def main(argv: list[str] | None = None) -> int:
         "GMSHADOW_OUTDIR", "runs")
     try:
         if args.verb == "run":
-            ov = {k: getattr(args, k) for k in
-                  ("nx", "ny", "M", "dt", "end_time", "blowup_threshold",
-                   "quench_threshold", "dt_safety")
-                  if getattr(args, k) is not None}
+            ov = {k.attr: getattr(args, k.attr) for k in _FLAGS
+                  if getattr(args, k.attr) is not None}
             if args.target in PRESETS:
                 return run_preset(args.target, outroot, ov)
             cfg = parse_config(args.target)

@@ -10,9 +10,12 @@ N*u_RR(0) at the origin, and is exact on quadratics.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+
+Stencil = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,18 @@ class RectGrid:
         wy[0] = wy[-1] = self.hy / 2
         w = np.outer(wy, wx)
         return w / w.sum()
+
+    def laplacian_operator(self) -> Stencil:
+        """5-point Laplacian on (ny, nx) arrays, Neumann by ghost-node reflection."""
+        hx2, hy2 = self.hx**2, self.hy**2
+
+        def lap(u: np.ndarray) -> np.ndarray:
+            e = np.pad(u, 1, mode="reflect")
+            out = (e[1:-1, 2:] - 2.0 * u + e[1:-1, :-2]) / hx2
+            out += (e[2:, 1:-1] - 2.0 * u + e[:-2, 1:-1]) / hy2
+            return out
+
+        return lap
 
 
 @dataclass(frozen=True)
@@ -116,6 +131,29 @@ class RadialGrid:
         """R^(N-1) at the M-1 interior cell faces R_i + h/2."""
         return (self.R[:-1] + self.h / 2) ** (self.dim - 1)
 
+    def laplacian_operator(self) -> Stencil:
+        """Conservative discretisation of u_RR + (N-1)/R * u_R on (M,) arrays.
+
+        Flux form (1/R^(N-1)) d/dR (R^(N-1) u_R): zero flux at both ends by
+        default.  At R=0 this reduces to the symmetry limit N*u_RR(0); interior
+        rows agree with central differences to second order.  For a dirichlet
+        outer boundary the last row is zeroed (the node is pinned elsewhere).
+        """
+        h = self.h
+        face = self.face_areas()
+        vol = self.cell_volumes() / self.dim
+        neumann = self.outer_bc == "neumann"
+
+        def lap(u: np.ndarray) -> np.ndarray:
+            flux = face * (u[1:] - u[:-1]) / h
+            out = np.empty_like(u)
+            out[0] = flux[0] / vol[0]
+            out[1:-1] = (flux[1:] - flux[:-1]) / vol[1:-1]
+            out[-1] = -flux[-1] / vol[-1] if neumann else 0.0
+            return out
+
+        return lap
+
 
 Grid = RectGrid | RadialGrid
 
@@ -140,46 +178,21 @@ class Field:
 
 def laplacian_rect(f: Field) -> Field:
     """5-point Laplacian with Neumann boundaries via ghost-node reflection."""
-    g = f.grid
-    if not isinstance(g, RectGrid):
+    if not isinstance(f.grid, RectGrid):
         raise TypeError("laplacian_rect needs a Field on a RectGrid")
-    u = f.values
-    e = np.pad(u, 1, mode="reflect")
-    lap = (e[1:-1, 2:] - 2.0 * u + e[1:-1, :-2]) / g.hx**2
-    lap += (e[2:, 1:-1] - 2.0 * u + e[:-2, 1:-1]) / g.hy**2
-    return Field(g, lap)
+    return laplacian(f)
 
 
 def laplacian_radial(f: Field) -> Field:
-    """Conservative discretisation of u_RR + (N-1)/R * u_R on [0,1].
-
-    Flux form (1/R^(N-1)) d/dR (R^(N-1) u_R): zero flux at both ends by
-    default.  At R=0 this reduces to the symmetry limit N*u_RR(0); interior
-    rows agree with central differences to second order.  For a dirichlet
-    outer boundary the last row is zeroed (the node is pinned elsewhere).
-    """
-    g = f.grid
-    if not isinstance(g, RadialGrid):
+    """Conservative radial Laplacian; see RadialGrid.laplacian_operator."""
+    if not isinstance(f.grid, RadialGrid):
         raise TypeError("laplacian_radial needs a Field on a RadialGrid")
-    u = f.values
-    h = g.h
-    flux = g.face_areas() * (u[1:] - u[:-1]) / h
-    vol = g.cell_volumes() / g.dim
-    lap = np.empty_like(u)
-    lap[0] = flux[0] / vol[0]
-    lap[1:-1] = (flux[1:] - flux[:-1]) / vol[1:-1]
-    if g.outer_bc == "neumann":
-        lap[-1] = -flux[-1] / vol[-1]
-    else:
-        lap[-1] = 0.0
-    return Field(g, lap)
+    return laplacian(f)
 
 
 def laplacian(f: Field) -> Field:
-    """Dispatch to the grid's Laplacian."""
-    if isinstance(f.grid, RectGrid):
-        return laplacian_rect(f)
-    return laplacian_radial(f)
+    """The grid's Laplacian applied to a field."""
+    return Field(f.grid, f.grid.laplacian_operator()(f.values))
 
 
 def mean(f: Field, power: float = 1.0) -> float:

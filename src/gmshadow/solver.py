@@ -25,7 +25,7 @@ kinetics and the whole activator equation remain forward Euler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -173,33 +173,13 @@ class _Ctx:
         self.idx = derive_indices(config.params)
         g = config.grid
         self.w = g.quad_weights().ravel()
-        self.is_rect = isinstance(g, RectGrid)
+        self.laplacian = g.laplacian_operator()
         self.pin_outer = isinstance(g, RadialGrid) and g.outer_bc == "dirichlet"
         self.h2 = g.h_min**2
-        if self.is_rect:
-            self.hx2, self.hy2 = g.hx**2, g.hy**2
-        else:
-            self.h = g.h
-            self.fface = g.face_areas()
-            self.voln = g.cell_volumes() / g.dim
         if config.system is SystemKind.FULL_RD:
             lx = (2.0 * np.cos(np.pi * np.arange(g.nx) / (g.nx - 1)) - 2.0) / g.hx**2
             ly = (2.0 * np.cos(np.pi * np.arange(g.ny) / (g.ny - 1)) - 2.0) / g.hy**2
             self.lam = ly[:, None] + lx[None, :]
-
-    def laplacian(self, u: np.ndarray) -> np.ndarray:
-        """Array-level stencil matching mesh.laplacian_rect / laplacian_radial."""
-        if self.is_rect:
-            e = np.pad(u, 1, mode="reflect")
-            lap = (e[1:-1, 2:] - 2.0 * u + e[1:-1, :-2]) / self.hx2
-            lap += (e[2:, 1:-1] - 2.0 * u + e[:-2, 1:-1]) / self.hy2
-            return lap
-        flux = self.fface * (u[1:] - u[:-1]) / self.h
-        lap = np.empty_like(u)
-        lap[0] = flux[0] / self.voln[0]
-        lap[1:-1] = (flux[1:] - flux[:-1]) / self.voln[1:-1]
-        lap[-1] = 0.0 if self.pin_outer else -flux[-1] / self.voln[-1]
-        return lap
 
     def nonlocal_mean(self, u: np.ndarray, power: float) -> float:
         m = float(np.dot(self.w, fast_pow(u, power).ravel()))

@@ -1,9 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gmshadow import SystemKind, Verdict
+from gmshadow import EvolutionLaw, Parameters, RadialGrid, SystemKind, Verdict
 from gmshadow.cli import (
     PRESETS,
     ConfigError,
@@ -65,6 +66,21 @@ def test_preset_table():
     assert {c.grid.M for c in exp3.values()} == {512}
 
 
+def _roundtrip_configs():
+    cfgs = {f"{pid}/{name}": cfg for pid, make in PRESETS.items()
+            for name, cfg in make().items()}
+    exp3 = PRESETS["exp3"]()["static"]
+    # together these set every optional key of the format
+    cfgs["shadow_optional_keys"] = replace(
+        PRESETS["exp1"]()["static"], system=SystemKind.SHADOW_TAU,
+        params=Parameters(p=3.0, q=2.0, r=1.0, s=2.0, tau=0.1), eta0=0.7, v0=1.5,
+        snapshot_times=(0.1, 0.25), dt_safety=0.5)
+    cfgs["radial_dirichlet_spiky_logistic"] = replace(
+        exp3, grid=RadialGrid(3, 64, outer_bc="dirichlet"),
+        law=EvolutionLaw.logistic(0.1, 0.5, 3))
+    return cfgs
+
+
 def test_parse_roundtrip(tmp_path):
     cfg = parse_config(write(tmp_path, MINIMAL_STATIC))
     assert cfg.system is SystemKind.NONLOCAL_SIGMA
@@ -72,6 +88,26 @@ def test_parse_roundtrip(tmp_path):
     echo = render_config(cfg)
     cfg2 = parse_config(write(tmp_path, echo, "echo.ini"))
     assert render_config(cfg2) == echo
+    for name, cfg in _roundtrip_configs().items():
+        echo = render_config(cfg)
+        cfg2 = parse_config(write(tmp_path, echo, "echo.ini"))
+        assert cfg2 == cfg, name
+        assert render_config(cfg2) == echo, name
+
+
+@pytest.mark.parametrize("bad, message", [
+    (MINIMAL_STATIC.replace("dt = 0.002", "dt = 0.002\ndt_safty = 0.5"),
+     r"unknown key \[run\] dt_safty"),
+    (MINIMAL_STATIC + "\n[params2]\np = 1\n", r"unknown section \[params2\]"),
+], ids=["misspelt_key", "unknown_section"])
+def test_parse_rejects_unknown_keys_and_sections(tmp_path, bad, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(write(tmp_path, bad))
+
+
+def test_parse_keys_are_case_insensitive(tmp_path):
+    cfg = parse_config(write(tmp_path, MINIMAL_STATIC.replace("s = 2", "s = 2\nd1 = 0.5")))
+    assert cfg.params.D1 == 0.5
 
 
 def test_parse_rejects_bad_dt(tmp_path):
@@ -186,10 +222,26 @@ def test_env_outdir(tmp_path, capsys, monkeypatch):
 
 def test_grid_override_on_config(tmp_path):
     path = write(tmp_path, MINIMAL_STATIC)
-    rc = main(["run", path, "--outdir", str(tmp_path / "r"), "--nx", "5", "--ny", "7"])
-    assert rc == 0
-    echo = (tmp_path / "r" / "cfg" / "config.ini").read_text()
-    assert "nx = 5" in echo and "ny = 7" in echo
+    for i, (flags, expected) in enumerate([
+        (["--dt", "0.001"], ["dt = 0.001"]),
+        (["--end-time", "0.02"], ["end_time = 0.02"]),
+        (["--blowup-threshold", "1e5"], ["blowup_threshold = 100000.0"]),
+        (["--quench-threshold", "1e-7"], ["quench_threshold = 1e-07"]),
+        (["--dt-safety", "0.5"], ["dt_safety = 0.5"]),
+        (["--nx", "5", "--ny", "7"], ["nx = 5", "ny = 7"]),
+    ]):
+        out = tmp_path / f"r{i}"
+        assert main(["run", path, "--outdir", str(out), *flags]) == 0
+        echo = (out / "cfg" / "config.ini").read_text().splitlines()
+        assert all(line in echo for line in expected), flags
+
+
+def test_radial_override_on_rect_config_is_an_error(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL_STATIC)
+    rc = main(["run", path, "--outdir", str(tmp_path / "r"), "--M", "33"])
+    assert rc == 2
+    assert "error: M override" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_preset_smoke(tmp_path):
