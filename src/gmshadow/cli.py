@@ -157,7 +157,8 @@ class _Key(NamedTuple):
     without a default takes the dataclass's.  `flag` makes it a `run`
     override (--dt, --end-time, ...).  The echo leaves out keys whose object
     lacks the attribute, whose value is None or renders empty, or that are
-    not `shown` for that object.
+    not `shown` for that object; the parser rejects a key given for an
+    object that lacks the attribute or does not show it.
     """
 
     section: str
@@ -214,12 +215,22 @@ _SCHEMA = (
 _FLAGS = tuple(k for k in _SCHEMA if k.flag)
 
 
+def _sections(cfg: RunConfig) -> dict:
+    return {"run": cfg, "params": cfg.params, "evolution": cfg.law,
+            "grid": cfg.grid, "init": cfg.init}
+
+
+def _kind_name(obj) -> str:
+    """How errors name the kind of a grid or an init spec."""
+    if isinstance(obj, InitSpec):
+        return f"{obj.kind.value} init"
+    return f"{_GRID_NAMES[type(obj)]} grids"
+
+
 def render_config(cfg: RunConfig) -> str:
     """Canonical key=value echo of a fully resolved run configuration."""
-    sections = {"run": cfg, "params": cfg.params, "evolution": cfg.law,
-                "grid": cfg.grid, "init": cfg.init}
     blocks = []
-    for section, obj in sections.items():
+    for section, obj in _sections(cfg).items():
         lines = [f"[{section}]"]
         for k in (k for k in _SCHEMA if k.section == section):
             value = getattr(obj, k.attr, None)
@@ -243,8 +254,13 @@ def _build(cls: type, section: str, kw: dict, path: str):
 
 
 def parse_config(path: str) -> RunConfig:
-    """Read a key=value config file into a RunConfig; unknown keys are errors."""
-    cp = configparser.ConfigParser()
+    """Read a key=value config file into a RunConfig.
+
+    Unknown sections and keys are errors, and so are keys that the chosen
+    grid or init kind does not use.
+    """
+    # no section is configparser's DEFAULT, so [DEFAULT] is an unknown section
+    cp = configparser.ConfigParser(default_section="")
     try:
         with open(path) as fh:
             cp.read_file(fh, source=path)
@@ -259,6 +275,7 @@ def parse_config(path: str) -> RunConfig:
     for k in _SCHEMA:
         if k.default is not None:
             kw[k.section][k.attr] = k.default
+    given = []
     for section in cp.sections():
         if section not in kw:
             raise ConfigError(f"unknown section [{section}] in {path}")
@@ -271,13 +288,14 @@ def parse_config(path: str) -> RunConfig:
             except ValueError as e:
                 raise ConfigError(
                     f"bad value for [{section}] {k.key}: {raw!r} ({e})") from e
+            given.append(k)
 
     try:
         params = _build(Parameters, "params", kw["params"], path)
         law = _build(EvolutionLaw, "evolution", kw["evolution"], path)
         grid = kw["grid"].pop("__class__")
         kw["grid"].setdefault("dim", law.dimension)
-        return _build(RunConfig, "run", dict(
+        cfg = _build(RunConfig, "run", dict(
             kw["run"], params=params, law=law,
             grid=_build(grid, "grid", kw["grid"], path),
             init=_build(InitSpec, "init", kw["init"], path)), path)
@@ -285,6 +303,13 @@ def parse_config(path: str) -> RunConfig:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(f"invalid configuration in {path}: {e}") from e
+    sections = _sections(cfg)
+    for k in given:
+        obj = sections[k.section]
+        if not (hasattr(obj, k.attr) and k.shown(obj)):
+            raise ConfigError(f"[{k.section}] {k.key} does not apply to "
+                              f"{_kind_name(obj)} in {path}")
+    return cfg
 
 
 def _apply_overrides(cfg: RunConfig, ov: dict) -> RunConfig:
@@ -294,7 +319,7 @@ def _apply_overrides(cfg: RunConfig, ov: dict) -> RunConfig:
         if k.attr in ov:
             if k.section == "grid" and not hasattr(cfg.grid, k.attr):
                 raise ConfigError(f"{k.key} override does not apply to "
-                                  f"{_GRID_NAMES[type(cfg.grid)]} grids")
+                                  f"{_kind_name(cfg.grid)}")
             (grid if k.section == "grid" else run)[k.attr] = ov[k.attr]
     if grid:
         cfg = replace(cfg, grid=replace(cfg.grid, **grid))

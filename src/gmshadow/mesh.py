@@ -65,13 +65,32 @@ class RectGrid:
         return w / w.sum()
 
     def laplacian_operator(self) -> Stencil:
-        """5-point Laplacian on (ny, nx) arrays, Neumann by ghost-node reflection."""
+        """5-point Laplacian on (ny, nx) arrays, Neumann by ghost-node reflection.
+
+        The operator owns a ghost-framed buffer and a scratch array that
+        every call overwrites, so one operator must not be called from two
+        threads at once.  Each call returns a fresh array.
+        """
         hx2, hy2 = self.hx**2, self.hy**2
+        e = np.empty((self.ny + 2, self.nx + 2))
+        two_u = np.empty(self.shape)
 
         def lap(u: np.ndarray) -> np.ndarray:
-            e = np.pad(u, 1, mode="reflect")
-            out = (e[1:-1, 2:] - 2.0 * u + e[1:-1, :-2]) / hx2
-            out += (e[2:, 1:-1] - 2.0 * u + e[:-2, 1:-1]) / hy2
+            # mirror across the boundary nodes; the corners are never read
+            e[1:-1, 1:-1] = u
+            e[1:-1, 0] = u[:, 1]
+            e[1:-1, -1] = u[:, -2]
+            e[0, 1:-1] = u[1]
+            e[-1, 1:-1] = u[-2]
+            np.multiply(u, 2.0, out=two_u)
+            # ((E - 2u) + W)/hx2 + ((N - 2u) + S)/hy2, element by element
+            out = np.subtract(e[1:-1, 2:], two_u)
+            out += e[1:-1, :-2]
+            out /= hx2
+            np.subtract(e[2:, 1:-1], two_u, out=two_u)
+            np.add(two_u, e[:-2, 1:-1], out=two_u)
+            np.divide(two_u, hy2, out=two_u)
+            out += two_u
             return out
 
         return lap

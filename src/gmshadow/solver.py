@@ -20,6 +20,14 @@ cleanly at the blow-up threshold instead of overflowing.  The stiff linear
 diffusion of the FULL_RD inhibitor (D2/tau is large in the regimes of
 interest) is advanced with an exact cosine-spectral implicit solve; its
 kinetics and the whole activator equation remain forward Euler.
+
+Each step reduces every array once: the max and min of the new u (which
+also serve as its finiteness test, and which advance() carries into the
+next step's verdict check, positivity check and dt selection and into its
+own sample trigger), and the max of |du| and of u/|du| for dt.  FULL_RD
+adds the max and min of v and the same two dt reductions on v.  The
+update u + dt*du is formed in du's buffer.  A _Ctx's Laplacian owns
+scratch buffers, so one _Ctx must serve one thread at a time.
 """
 
 from __future__ import annotations
@@ -84,6 +92,9 @@ class RunConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("dt", "end_time", "blowup_threshold", "quench_threshold"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.end_time <= 0.0:
@@ -207,15 +218,16 @@ def rhs(
     applied inside step() by an exact spectral solve).
     """
     ctx = _Ctx(config)
-    du, daux = _rhs_arrays(ctx, u.values, aux, clock)
+    du, daux = _rhs_arrays(ctx, u.values, aux, clock, float(u.values.min()))
     return Field(u.grid, du), daux
 
 
-def _rhs_arrays(ctx: _Ctx, u, aux, clock):
+def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float):
+    """Rates of the family at u, whose minimum `low` the caller supplies."""
     cfg = ctx.cfg
     p = cfg.params
     gamma = ctx.idx.gamma
-    if np.min(u) <= 0.0:
+    if low <= 0.0:
         raise NonPositiveStateError("activator lost positivity")
     kind = cfg.system
     lap = ctx.laplacian(u)
@@ -240,7 +252,7 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock):
         deta = (-phi * eta + ph2 * ctx.nonlocal_mean(u, p.r) / eta**p.s) / p.tau
         return du, deta
     v = aux
-    if v is None or np.min(v) <= POSITIVITY_FLOOR:
+    if v is None or v.min() <= POSITIVITY_FLOOR:
         raise NonPositiveStateError("inhibitor v nonpositive")
     rho2 = scale_factor(cfg.law, clock) ** 2
     L = dilution_coefficient(cfg.law, clock)
@@ -249,29 +261,29 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock):
     return du, dv_kin
 
 
-def _positivity_guard(vals, dvals) -> float:
-    """Largest dt keeping a positive explicit-Euler update comfortably positive."""
-    return 0.45 * float(np.min(vals / (np.abs(dvals) + 1e-300)))
+def _field_dt_limit(dt: float, vals, sup: float, dvals) -> float:
+    """dt limited by the relative growth clamp and the positivity guard, which
+    keeps a positive explicit-Euler update of vals (maximum sup) comfortably
+    positive.  |dvals| is taken once and its buffer reused."""
+    mag = np.abs(dvals)
+    dt = min(dt, 0.1 * (1.0 + sup) / (1.0 + float(mag.max())))
+    mag += 1e-300
+    np.divide(vals, mag, out=mag)
+    return min(dt, 0.45 * float(mag.min()))
 
 
-def _dt_effective(ctx: _Ctx, u, du, aux, daux, clock) -> float:
+def _dt_effective(ctx: _Ctx, u, sup: float, du, aux, daux, clock) -> float:
     cfg = ctx.cfg
     if cfg.system.t_native:
         d_eff = cfg.params.D1 / scale_factor(cfg.law, clock) ** 2
     else:
         d_eff = cfg.params.D1
     dt = min(cfg.dt, ctx.h2 / (4.0 * d_eff))
-    sup_u = float(np.max(u))
-    sup_du = float(np.max(np.abs(du)))
-    dt = min(dt, 0.1 * (1.0 + sup_u) / (1.0 + sup_du))
-    dt = min(dt, _positivity_guard(u, du))
+    dt = _field_dt_limit(dt, u, sup, du)
     if cfg.system is SystemKind.SHADOW_TAU:
         dt = min(dt, 0.45 * aux / (abs(daux) + 1e-300))
     elif cfg.system is SystemKind.FULL_RD:
-        sup_v = float(np.max(aux))
-        sup_dv = float(np.max(np.abs(daux)))
-        dt = min(dt, 0.1 * (1.0 + sup_v) / (1.0 + sup_dv))
-        dt = min(dt, _positivity_guard(aux, daux))
+        dt = _field_dt_limit(dt, aux, float(aux.max()), daux)
     return dt * cfg.dt_safety
 
 
@@ -282,40 +294,45 @@ def step(config: RunConfig, state: RunState, ctx: _Ctx | None = None) -> RunStat
         raise RuntimeError("run already terminated")
     if ctx is None:
         ctx = _Ctx(config)
-    return _step(ctx, state)
+    _step(ctx, state, float(state.u.max()), float(state.u.min()))
+    return state
 
 
-def _step(ctx: _Ctx, state: RunState) -> RunState:
+def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, float]:
+    """step() on the maximum `sup` and minimum `low` of state.u; returns the
+    maximum and minimum of state.u as it leaves it."""
     cfg = ctx.cfg
     u, aux, clock = state.u, state.aux, state.clock
-    sup = float(np.max(u))
     if not math.isfinite(sup):
         state.verdict = Verdict.NON_FINITE
-        return state
+        return sup, low
     if sup >= cfg.blowup_threshold:
         state.verdict = Verdict.BLOW_UP
-        return state
+        return sup, low
     if sup <= cfg.quench_threshold:
         state.verdict = Verdict.QUENCH
-        return state
+        return sup, low
     end = cfg.end_time
     if not cfg.system.t_native:
         # the sigma horizon is t = inf; stop within a relative tolerance of it
         end = min(end, sigma_horizon(cfg.law) * (1.0 - 1e-9))
     if clock >= end * (1.0 - 1e-14):
         state.verdict = Verdict.HORIZON_REACHED
-        return state
+        return sup, low
     try:
-        du, daux = _rhs_arrays(ctx, u, aux, clock)
+        du, daux = _rhs_arrays(ctx, u, aux, clock, low)
     except NonPositiveStateError:
         state.verdict = Verdict.NON_FINITE
-        return state
-    dt = _dt_effective(ctx, u, du, aux, daux, clock)
+        return sup, low
+    dt = _dt_effective(ctx, u, sup, du, aux, daux, clock)
     dt = min(dt, end - clock)
     if not math.isfinite(dt) or dt <= 0.0:
         state.verdict = Verdict.NON_FINITE
-        return state
-    u_new = u + dt * du
+        return sup, low
+    # u + dt*du, formed in du's buffer
+    u_new = du
+    u_new *= dt
+    u_new += u
     if ctx.pin_outer:
         u_new[-1] = u[-1]
     if cfg.system is SystemKind.SHADOW_TAU:
@@ -331,9 +348,11 @@ def _step(ctx: _Ctx, state: RunState) -> RunState:
     state.clock = clock + dt
     state.steps += 1
     state.dt_last = dt
-    if not np.isfinite(u_new).all() or np.min(u_new) <= 0.0:
+    sup, low = float(u_new.max()), float(u_new.min())
+    # both are finite exactly when every entry is
+    if not (math.isfinite(sup) and math.isfinite(low)) or low <= 0.0:
         state.verdict = Verdict.NON_FINITE
-    return state
+    return sup, low
 
 
 def _clocks(cfg: RunConfig, clock: float) -> tuple[float, float]:
@@ -368,8 +387,8 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
         if p.tau <= 0.0:
             raise ValueError("the full system needs tau > 0")
         aux = np.full(config.grid.shape, 2.0 if config.v0 is None else config.v0)
-    sup0 = float(np.max(u0.values))
-    min0 = float(np.min(u0.values))
+    sup0 = float(u0.values.max())
+    min0 = float(u0.values.min())
     if config.blowup_threshold <= sup0:
         raise ValueError(
             f"blowup_threshold {config.blowup_threshold} must exceed initial sup {sup0}"
@@ -384,38 +403,37 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     pending = sorted(config.snapshot_times)
     state = RunState(u=u0.values.copy(), aux=aux, clock=0.0)
 
-    def sample() -> None:
+    def sample(sup: float) -> None:
         t, sigma = _clocks(config, state.clock)
         u = state.u
-        sup = float(np.max(u))
         mu = float(np.dot(ctx.w, u.ravel()))
         zeta = float(np.dot(ctx.w, fast_pow(u, p.r).ravel()))
         wmom = float(np.dot(ctx.w, fast_pow(u, p.r + 1.0 - p.p).ravel()))
         if config.system is SystemKind.SHADOW_TAU:
             a = float(state.aux)
         elif config.system is SystemKind.FULL_RD:
-            a = float(np.max(state.aux))
+            a = float(state.aux.max())
         else:
             a = math.nan
         series.append(t, sigma, sup, mu, zeta, wmom, a)
 
-    sample()
-    last_sup = series.sup_norm[-1]
+    sup, low = sup0, min0
+    sample(sup)
+    last_sup = sup
     last_clock = state.clock
     while state.verdict is None:
-        _step(ctx, state)
+        sup, low = _step(ctx, state, sup, low)
         if state.verdict is not None:
             break
-        sup = float(np.max(state.u))
         if state.steps % config.sample_stride == 0 or sup >= 1.05 * last_sup:
-            sample()
-            last_sup = series.sup_norm[-1]
+            sample(sup)
+            last_sup = sup
             last_clock = state.clock
         while pending and state.clock >= pending[0]:
             label = f"clock{pending.pop(0)!r}"
             snapshots[label] = Field(config.grid, state.u.copy())
     if state.clock != last_clock:
-        sample()
+        sample(sup)
     snapshots["final"] = Field(config.grid, state.u.copy())
 
     report = detect_blowup(

@@ -99,9 +99,35 @@ def test_parse_roundtrip(tmp_path):
     (MINIMAL_STATIC.replace("dt = 0.002", "dt = 0.002\ndt_safty = 0.5"),
      r"unknown key \[run\] dt_safty"),
     (MINIMAL_STATIC + "\n[params2]\np = 1\n", r"unknown section \[params2\]"),
-], ids=["misspelt_key", "unknown_section"])
+    ("[DEFAULT]\nnote = 1\n" + MINIMAL_STATIC, r"unknown section \[DEFAULT\]"),
+], ids=["misspelt_key", "unknown_section", "default_section"])
 def test_parse_rejects_unknown_keys_and_sections(tmp_path, bad, message):
     with pytest.raises(ConfigError, match=message):
+        parse_config(write(tmp_path, bad))
+
+
+RADIAL_SPIKY = (MINIMAL_STATIC
+                .replace("kind = rect\nnx = 9\nny = 9", "kind = radial\nM = 33")
+                .replace("init = constant\nc = 1.0", "init = spiky\ndelta = 0.5"))
+
+
+@pytest.mark.parametrize("base, extra, message", [
+    (MINIMAL_STATIC, "M = 33", r"\[grid\] M does not apply to rect grids"),
+    (MINIMAL_STATIC, "dimension = 2", r"\[grid\] dimension does not apply to rect grids"),
+    (MINIMAL_STATIC, "outer_bc = dirichlet", r"\[grid\] outer_bc does not apply to rect grids"),
+    (RADIAL_SPIKY, "nx = 5", r"\[grid\] nx does not apply to radial grids"),
+    (RADIAL_SPIKY, "ny = 5", r"\[grid\] ny does not apply to radial grids"),
+    (RADIAL_SPIKY, "c = 2.0", r"\[init\] c does not apply to spiky init"),
+    (MINIMAL_STATIC, "delta = 0.5", r"\[init\] delta does not apply to constant init"),
+    (MINIMAL_STATIC.replace("init = constant\nc = 1.0", "init = cosine\nc = 2.0"),
+     "lambda = 0.1", r"\[init\] lambda does not apply to cosine init"),
+], ids=["M_on_rect", "dimension_on_rect", "outer_bc_on_rect", "nx_on_radial",
+        "ny_on_radial", "c_on_spiky", "delta_on_constant", "lambda_on_cosine"])
+def test_parse_rejects_keys_the_kind_does_not_use(tmp_path, base, extra, message):
+    parse_config(write(tmp_path, base))
+    section = "[init]" if message.startswith(r"\[init") else "[grid]"
+    bad = base.replace(section, f"{section}\n{extra}")
+    with pytest.raises(ConfigError, match=message + " in "):
         parse_config(write(tmp_path, bad))
 
 

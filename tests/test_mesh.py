@@ -42,6 +42,29 @@ def test_rect_laplacian_cosine_refinement():
     assert 3.2 < ratio < 4.8  # second order: halving h quarters the error
 
 
+def test_rect_laplacian_matches_reflect_pad_formula():
+    # the ghost-buffer operator must reproduce the np.pad formula bit for bit
+    g = RectGrid(14, 11)  # non-square, so hx2 != hy2
+    u = np.random.default_rng(4).uniform(0.1, 5.0, g.shape)
+    e = np.pad(u, 1, mode="reflect")
+    ref = (e[1:-1, 2:] - 2.0 * u + e[1:-1, :-2]) / g.hx**2
+    ref += (e[2:, 1:-1] - 2.0 * u + e[:-2, 1:-1]) / g.hy**2
+    assert np.array_equal(g.laplacian_operator()(u), ref)
+
+
+def test_rect_laplacian_results_do_not_alias():
+    g = RectGrid(14, 11)
+    lap = g.laplacian_operator()
+    rng = np.random.default_rng(5)
+    u1, u2 = rng.uniform(0.1, 5.0, (2, *g.shape))
+    first = lap(u1)
+    kept = first.copy()
+    second = lap(u2)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(lap(u1), kept)
+
+
 def test_radial_laplacian_constant():
     g = RadialGrid(3, 65)
     f = Field(g, np.full(65, 3.5))

@@ -24,6 +24,8 @@ from gmshadow import (
     sigma_of_t,
     step,
 )
+from gmshadow import solver
+from gmshadow.initdata import build_initial
 from gmshadow.solver import RunState, fast_pow
 
 TABLE1 = Parameters(p=3, q=2, r=1, s=2, D1=1.0)
@@ -418,3 +420,58 @@ def test_internal_stencil_matches_mesh_laplacians():
                      init=InitSpec(InitKind.SPIKY, delta=0.5, lam=1.0),
                      params=Parameters(p=4, q=4, r=2, s=1))
     assert np.array_equal(_Ctx(cfgd).laplacian(ur), laplacian_radial(Field(grd, ur)).values)
+
+
+def test_config_rejects_nan():
+    for name in ("dt", "end_time", "blowup_threshold", "quench_threshold"):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            small_cfg(**{name: math.nan})
+    small_cfg(blowup_threshold=math.inf)  # a run may be left to overflow
+
+
+def _step_loop(cfg):
+    """Drive cfg to its verdict through the public step()."""
+    u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p).values
+    aux = {SystemKind.SHADOW_TAU: cfg.eta0,
+           SystemKind.FULL_RD: np.full(cfg.grid.shape, cfg.v0)}.get(cfg.system)
+    state = RunState(u=u0.copy(), aux=aux, clock=0.0)
+    while state.verdict is None:
+        step(cfg, state)
+    return state
+
+
+@pytest.mark.parametrize("cfg", [
+    small_cfg(system=SystemKind.NONLOCAL_T, grid=RectGrid(14, 11), law=DECAY,
+              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.1),
+    small_cfg(system=SystemKind.SHADOW_TAU, params=Parameters(p=3, q=2, r=1, s=2, tau=0.1),
+              law=DECAY, grid=RectGrid(11, 14), eta0=0.7,
+              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.2),
+    small_cfg(system=SystemKind.FULL_RD,
+              params=Parameters(p=3, q=2, r=1, s=2, D1=0.01, D2=1.0, tau=0.01),
+              law=DECAY, grid=RectGrid(17, 13), v0=2.0,
+              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.05),
+    small_cfg(system=SystemKind.NONLOCAL_T, params=Parameters(p=4, q=4, r=2, s=1),
+              law=EvolutionLaw.static(3), grid=RadialGrid(3, 65, outer_bc="dirichlet"),
+              init=InitSpec(InitKind.SPIKY, delta=0.8, lam=0.1), dt=5e-4,
+              end_time=0.01, quench_threshold=1e-6),
+], ids=["rect_nonlocal_t", "shadow_tau", "full_rd", "radial_dirichlet"])
+def test_advance_matches_step_loop(cfg, monkeypatch):
+    # advance() carries each step's max/min into the next; step() recomputes them
+    states = []
+
+    class Recorded(RunState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    monkeypatch.setattr(solver, "RunState", Recorded)
+    _, _, snaps = advance(cfg)
+    monkeypatch.undo()
+    (run,) = states
+    ref = _step_loop(cfg)
+    assert run.steps == ref.steps > 10
+    assert run.clock == ref.clock
+    assert run.verdict is ref.verdict
+    assert np.array_equal(run.u, ref.u)
+    assert np.array_equal(run.aux, ref.aux)
+    assert np.array_equal(snaps["final"].values, ref.u)
