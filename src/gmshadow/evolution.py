@@ -45,6 +45,10 @@ class EvolutionLaw:
     def __post_init__(self) -> None:
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
+        for name in ("beta", "m"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {name}={value}")
         if self.kind is not LawKind.STATIC and self.beta <= 0.0:
             raise ValueError(f"{self.kind.value} requires beta > 0, got {self.beta}")
         if self.kind is LawKind.EXP_DECAY and self.beta >= 1.0 / self.dimension:

@@ -2,7 +2,8 @@
 Laplacians and quadrature for domain averages.
 
 The rectangle uses the standard 5-point stencil with ghost-node reflection
-(mirror across the boundary node), exact for even extensions.  The radial
+(mirror across the boundary node), exact for even extensions, and offers
+the exact implicit solve (I - nu*Lap)^-1 in its cosine eigenbasis.  The radial
 operator u_RR + (N-1)/R * u_R is discretised in conservation form with
 cell-face fluxes, which makes the discrete Green identity exact, reproduces
 N*u_RR(0) at the origin, and is exact on quadratics.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 Stencil = Callable[[np.ndarray], np.ndarray]
+Resolvent = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,41 @@ class RectGrid:
             return out
 
         return lap
+
+    def resolvent_operator(self) -> Resolvent:
+        """solve(v, nu) = (I - nu*Lap)^-1 v for the 5-point Neumann Laplacian
+        of laplacian_operator(), exact in its cosine eigenbasis.
+
+        The type-I DCT matrix C of each axis (C @ C = 2(N-1) I) is built
+        once, so a solve is four small matmuls: vhat = Cy v Cx^T, divided
+        by 4(nx-1)(ny-1)(1 - nu*lam), then Cy vhat Cx^T.  Each call returns
+        a fresh array.
+        """
+        cx = _dct1_matrix(self.nx)
+        cy = cx if self.ny == self.nx else _dct1_matrix(self.ny)
+        cxt = cx.T
+        lx = (2.0 * np.cos(np.pi * np.arange(self.nx) / (self.nx - 1)) - 2.0) / self.hx**2
+        ly = (2.0 * np.cos(np.pi * np.arange(self.ny) / (self.ny - 1)) - 2.0) / self.hy**2
+        lam = ly[:, None] + lx[None, :]
+        norm = 4.0 * (self.nx - 1) * (self.ny - 1)
+
+        def solve(v: np.ndarray, nu: float) -> np.ndarray:
+            vhat = cy @ v @ cxt
+            vhat /= norm * (1.0 - nu * lam)
+            return cy @ vhat @ cxt
+
+        return solve
+
+
+def _dct1_matrix(n: int) -> np.ndarray:
+    """Unnormalised type-I DCT as a matrix: y = C @ x matches
+    scipy.fft.dct(x, type=1).  The phase k*n is reduced modulo 2(n-1) in
+    integers so every cosine argument stays in [0, 2*pi)."""
+    k = np.arange(n)
+    c = 2.0 * np.cos(np.pi * (np.outer(k, k) % (2 * (n - 1))) / (n - 1))
+    c[:, 0] /= 2.0
+    c[:, -1] /= 2.0
+    return c
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ is the anti-Turing regime where the mean itself can blow up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,10 @@ class Parameters:
     tau: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {f.name}={value}")
         if self.s <= -1.0:
             raise ValueError(f"s must exceed -1 (gamma finite), got s={self.s}")
         if self.r <= 0.0:

@@ -19,14 +19,19 @@ clamp keeps each update below ~10% of the solution scale so runs terminate
 cleanly at the blow-up threshold instead of overflowing.  The stiff linear
 diffusion of the FULL_RD inhibitor (D2/tau is large in the regimes of
 interest) is advanced with an exact cosine-spectral implicit solve; its
-kinetics and the whole activator equation remain forward Euler.
+kinetics and the whole activator equation remain forward Euler.  The solve
+(RectGrid.resolvent_operator) applies a type-I DCT basis built once per
+run by four small matmuls per step instead of calling an FFT: on 128
+nodes the DCT-I is an FFT of length 2(N-1) = 254, and its prime factor
+127 makes that about ten times slower than the matmuls.
 
 Each step reduces every array once: the max and min of the new u (which
 also serve as its finiteness test, and which advance() carries into the
 next step's verdict check, positivity check and dt selection and into its
 own sample trigger), and the max of |du| and of u/|du| for dt.  FULL_RD
 adds the max and min of v and the same two dt reductions on v.  The
-update u + dt*du is formed in du's buffer.  A _Ctx's Laplacian owns
+update u + dt*du is formed in du's buffer, and the t-clock families
+evaluate rho(clock) once per step.  A _Ctx's Laplacian owns
 scratch buffers, so one _Ctx must serve one thread at a time.
 """
 
@@ -37,7 +42,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft
 
 from .analysis import BlowUpReport, Verdict, detect_blowup
 from .evolution import (
@@ -95,6 +99,9 @@ class RunConfig:
         for name in ("dt", "end_time", "blowup_threshold", "quench_threshold"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got nan")
+        for t in self.snapshot_times:
+            if not t >= 0.0:
+                raise ValueError(f"snapshot_times must be nonnegative numbers, got {t}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.end_time <= 0.0:
@@ -177,7 +184,7 @@ class RunState:
 
 
 class _Ctx:
-    """Precomputed per-run machinery: weights, laplacian, spectral solver."""
+    """Precomputed per-run machinery: weights, laplacian, inhibitor solve."""
 
     def __init__(self, config: RunConfig):
         self.cfg = config
@@ -188,9 +195,8 @@ class _Ctx:
         self.pin_outer = isinstance(g, RadialGrid) and g.outer_bc == "dirichlet"
         self.h2 = g.h_min**2
         if config.system is SystemKind.FULL_RD:
-            lx = (2.0 * np.cos(np.pi * np.arange(g.nx) / (g.nx - 1)) - 2.0) / g.hx**2
-            ly = (2.0 * np.cos(np.pi * np.arange(g.ny) / (g.ny - 1)) - 2.0) / g.hy**2
-            self.lam = ly[:, None] + lx[None, :]
+            # (I - nu*Lap)^-1, exact in the grid's cosine basis
+            self.diffuse_inhibitor = g.resolvent_operator()
 
     def nonlocal_mean(self, u: np.ndarray, power: float) -> float:
         m = float(np.dot(self.w, fast_pow(u, power).ravel()))
@@ -198,11 +204,11 @@ class _Ctx:
             raise NonPositiveStateError(f"nonlocal mean of u^{power} is {m}")
         return m
 
-    def diffuse_inhibitor(self, v: np.ndarray, nu: float) -> np.ndarray:
-        """Solve (I - nu*Lap) v_new = v exactly in the cosine basis."""
-        vhat = scipy.fft.dctn(v, type=1)
-        vhat /= 1.0 - nu * self.lam
-        return scipy.fft.idctn(vhat, type=1)
+
+def _rho_squared(cfg: RunConfig, clock: float) -> float:
+    """rho(clock)^2 for the t-clock families; 1 for the sigma-clock ones,
+    whose equations carry no rho."""
+    return scale_factor(cfg.law, clock) ** 2 if cfg.system.t_native else 1.0
 
 
 def rhs(
@@ -218,12 +224,15 @@ def rhs(
     applied inside step() by an exact spectral solve).
     """
     ctx = _Ctx(config)
-    du, daux = _rhs_arrays(ctx, u.values, aux, clock, float(u.values.min()))
+    du, daux = _rhs_arrays(
+        ctx, u.values, aux, clock, float(u.values.min()), _rho_squared(config, clock)
+    )
     return Field(u.grid, du), daux
 
 
-def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float):
-    """Rates of the family at u, whose minimum `low` the caller supplies."""
+def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
+    """Rates of the family at u, whose minimum `low` and the clock's
+    _rho_squared `rho2` the caller supplies."""
     cfg = ctx.cfg
     p = cfg.params
     gamma = ctx.idx.gamma
@@ -238,7 +247,6 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float):
         denom = ctx.nonlocal_mean(u, p.r) ** gamma if gamma != 0.0 else 1.0
         return p.D1 * lap - phi * u + psi * up / denom, None
     if kind is SystemKind.NONLOCAL_T:
-        rho2 = scale_factor(cfg.law, clock) ** 2
         L = dilution_coefficient(cfg.law, clock)
         denom = ctx.nonlocal_mean(u, p.r) ** gamma if gamma != 0.0 else 1.0
         return (p.D1 / rho2) * lap - L * u + L**gamma * up / denom, None
@@ -254,7 +262,6 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float):
     v = aux
     if v is None or v.min() <= POSITIVITY_FLOOR:
         raise NonPositiveStateError("inhibitor v nonpositive")
-    rho2 = scale_factor(cfg.law, clock) ** 2
     L = dilution_coefficient(cfg.law, clock)
     du = (p.D1 / rho2) * lap - L * u + up / fast_pow(v, p.q)
     dv_kin = (-L * v + fast_pow(u, p.r) / fast_pow(v, p.s)) / p.tau
@@ -272,12 +279,9 @@ def _field_dt_limit(dt: float, vals, sup: float, dvals) -> float:
     return min(dt, 0.45 * float(mag.min()))
 
 
-def _dt_effective(ctx: _Ctx, u, sup: float, du, aux, daux, clock) -> float:
+def _dt_effective(ctx: _Ctx, u, sup: float, du, aux, daux, rho2: float) -> float:
     cfg = ctx.cfg
-    if cfg.system.t_native:
-        d_eff = cfg.params.D1 / scale_factor(cfg.law, clock) ** 2
-    else:
-        d_eff = cfg.params.D1
+    d_eff = cfg.params.D1 / rho2
     dt = min(cfg.dt, ctx.h2 / (4.0 * d_eff))
     dt = _field_dt_limit(dt, u, sup, du)
     if cfg.system is SystemKind.SHADOW_TAU:
@@ -319,12 +323,13 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     if clock >= end * (1.0 - 1e-14):
         state.verdict = Verdict.HORIZON_REACHED
         return sup, low
+    rho2 = _rho_squared(cfg, clock)
     try:
-        du, daux = _rhs_arrays(ctx, u, aux, clock, low)
+        du, daux = _rhs_arrays(ctx, u, aux, clock, low, rho2)
     except NonPositiveStateError:
         state.verdict = Verdict.NON_FINITE
         return sup, low
-    dt = _dt_effective(ctx, u, sup, du, aux, daux, clock)
+    dt = _dt_effective(ctx, u, sup, du, aux, daux, rho2)
     dt = min(dt, end - clock)
     if not math.isfinite(dt) or dt <= 0.0:
         state.verdict = Verdict.NON_FINITE
@@ -338,7 +343,6 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     if cfg.system is SystemKind.SHADOW_TAU:
         aux_new = aux + dt * daux
     elif cfg.system is SystemKind.FULL_RD:
-        rho2 = scale_factor(cfg.law, clock) ** 2
         nu = dt * cfg.params.D2 / (cfg.params.tau * rho2)
         aux_new = ctx.diffuse_inhibitor(aux + dt * daux, nu)
     else:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from gmshadow import (
     EvolutionLaw,
+    LawKind,
     coefficient_bounds,
     dilution_coefficient,
     dissipation_coeff,
@@ -31,6 +32,18 @@ def test_law_validation():
         EvolutionLaw.logistic(0.1, 1.0, 2)
     with pytest.raises(ValueError):
         EvolutionLaw.exp_growth(0.0, 2)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: EvolutionLaw.exp_growth(math.inf), "beta"),
+    (lambda: EvolutionLaw.exp_decay(math.nan), "beta"),
+    (lambda: EvolutionLaw.logistic(1.0, math.nan), "m"),
+    (lambda: EvolutionLaw.logistic(math.inf, 1.5), "beta"),
+    (lambda: EvolutionLaw(LawKind.STATIC, beta=math.nan), "beta"),
+], ids=["growth_inf", "decay_nan", "logistic_m_nan", "logistic_beta_inf", "static_nan"])
+def test_law_rejects_non_finite(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make()
 
 
 def test_scale_factor_examples():

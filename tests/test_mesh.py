@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from gmshadow import (
     Field,
@@ -63,6 +64,64 @@ def test_rect_laplacian_results_do_not_alias():
     assert np.array_equal(first, kept)
     assert not np.shares_memory(first, second)
     assert np.array_equal(lap(u1), kept)
+
+
+def _cosine_eigenvalues(g):
+    lx = (2.0 * np.cos(np.pi * np.arange(g.nx) / (g.nx - 1)) - 2.0) / g.hx**2
+    ly = (2.0 * np.cos(np.pi * np.arange(g.ny) / (g.ny - 1)) - 2.0) / g.hy**2
+    return ly[:, None] + lx[None, :]
+
+
+# 14x11: hx != hy and the two axes need their own basis
+SOLVE_GRIDS = [RectGrid(14, 11), RectGrid(128, 128)]
+SOLVE_IDS = ["14x11", "128x128"]
+SOLVE_NUS = (1e-3, 0.1, 10.0)
+
+
+@pytest.mark.parametrize("g", SOLVE_GRIDS, ids=SOLVE_IDS)
+def test_rect_resolvent_matches_dct_solve(g):
+    v = np.random.default_rng(6).uniform(0.1, 5.0, g.shape)
+    solve = g.resolvent_operator()
+    lam = _cosine_eigenvalues(g)
+    for nu in SOLVE_NUS:
+        ref = scipy.fft.idctn(scipy.fft.dctn(v, type=1) / (1.0 - nu * lam), type=1)
+        assert np.max(np.abs(solve(v, nu) - ref)) <= 1e-13 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("g", SOLVE_GRIDS, ids=SOLVE_IDS)
+def test_rect_resolvent_inverts_the_stencil(g):
+    # w solves (I - nu*Lap) w = v for the stencil of laplacian_operator(),
+    # up to rounding in w amplified by nu*||Lap|| = nu*(4/hx^2 + 4/hy^2)
+    # (scipy's DCT solve leaves 2.6e-9 at 128x128, nu=10)
+    v = np.random.default_rng(7).uniform(0.1, 5.0, g.shape)
+    solve, lap = g.resolvent_operator(), g.laplacian_operator()
+    lap_norm = 4.0 / g.hx**2 + 4.0 / g.hy**2
+    for nu in SOLVE_NUS:
+        w = solve(v, nu)
+        residual = np.max(np.abs(w - nu * lap(w) - v))
+        assert residual <= 1e-14 * (np.max(v) + nu * lap_norm * np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("g", SOLVE_GRIDS, ids=SOLVE_IDS)
+def test_rect_resolvent_preserves_the_mean(g):
+    # the constant mode has eigenvalue 0, so the trapezoid mean is kept
+    v = Field(g, np.random.default_rng(8).uniform(0.1, 5.0, g.shape))
+    solve = g.resolvent_operator()
+    for nu in SOLVE_NUS:
+        assert abs(mean(Field(g, solve(v.values, nu))) - mean(v)) <= 1e-14
+
+
+def test_rect_resolvent_results_do_not_alias():
+    g = RectGrid(14, 11)
+    solve = g.resolvent_operator()
+    rng = np.random.default_rng(9)
+    v1, v2 = rng.uniform(0.1, 5.0, (2, *g.shape))
+    first = solve(v1, 0.1)
+    kept = first.copy()
+    second = solve(v2, 0.1)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(solve(v1, 0.1), kept)
 
 
 def test_radial_laplacian_constant():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gmshadow import (
@@ -36,6 +38,17 @@ def test_turing_regime_indices():
 )
 def test_rejects_bad_exponents(kw):
     with pytest.raises(ValueError):
+        Parameters(**kw)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("p", math.nan), ("q", math.inf), ("r", math.nan), ("s", math.nan),
+    ("D1", math.inf), ("D2", math.nan), ("tau", math.inf),
+])
+def test_rejects_non_finite_fields(field, value):
+    kw = dict(p=3, q=2, r=1, s=2, D1=1.0, D2=1.0, tau=0.01)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
         Parameters(**kw)
 
 

@@ -429,6 +429,36 @@ def test_config_rejects_nan():
     small_cfg(blowup_threshold=math.inf)  # a run may be left to overflow
 
 
+@pytest.mark.parametrize("times", [(-0.1,), (math.nan,), (0.1, -1e-9)],
+                         ids=["negative", "nan", "one_negative"])
+def test_config_rejects_bad_snapshot_times(times):
+    with pytest.raises(ValueError, match="snapshot_times"):
+        small_cfg(snapshot_times=times)
+    small_cfg(snapshot_times=(0.0, 0.5))
+
+
+@pytest.mark.parametrize("system, params", [
+    (SystemKind.NONLOCAL_T, TABLE1),
+    (SystemKind.FULL_RD, Parameters(p=3, q=2, r=1, s=2, D1=0.01, tau=0.01)),
+    (SystemKind.NONLOCAL_SIGMA, TABLE1),
+], ids=["nonlocal_t", "full_rd", "nonlocal_sigma"])
+def test_step_evaluates_rho_once(system, params, monkeypatch):
+    # rho(clock) feeds the diffusion coefficient, the diffusion cap and the
+    # inhibitor solve; a t-clock step evaluates it once, a sigma-clock never
+    calls = []
+
+    def counted(law, t):
+        calls.append(t)
+        return scale_factor(law, t)
+
+    monkeypatch.setattr(solver, "scale_factor", counted)
+    cfg = small_cfg(system=system, params=params, law=DECAY, v0=2.0,
+                    init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.02)
+    state = _step_loop(cfg)
+    assert state.steps > 10
+    assert len(calls) == (state.steps if system.t_native else 0)
+
+
 def _step_loop(cfg):
     """Drive cfg to its verdict through the public step()."""
     u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p).values
