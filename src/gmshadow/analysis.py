@@ -25,8 +25,8 @@ from .evolution import (
     EvolutionLaw,
     LawKind,
     CoefficientBounds,
+    _exp_rate,
     dilution_coefficient,
-    dissipation_coeff,
     reaction_coeff,
     sigma_horizon,
     sigma_of_t,
@@ -90,33 +90,28 @@ def threshold_integral(
     w, g = idx.omega, idx.gamma
     if w <= 1.0:
         raise ValueError(f"threshold integral needs omega > 1, got omega={w}")
-    b, n = law.beta, law.dimension
     k = law.kind
     if k is LawKind.STATIC:
         if math.isinf(sigma_max):
             return 1.0 / (w - 1.0)
         return (1.0 - math.exp((1.0 - w) * sigma_max)) / (w - 1.0)
-    if k is LawKind.EXP_GROWTH:
-        a = 1.0 + n * b
-        full = a ** (g - 1.0) / (w - 1.0)
-        if sigma_max >= sigma_horizon(law):
-            return full
-        return full * (1.0 - (1.0 - 2.0 * b * sigma_max) ** (a * (w - 1.0) / (2.0 * b)))
-    if k is LawKind.EXP_DECAY:
-        c = 1.0 - n * b
-        full = c ** (g - 1.0) / (w - 1.0)
-        if math.isinf(sigma_max):
-            return full
-        return full * (1.0 - (1.0 + 2.0 * b * sigma_max) ** (-c * (w - 1.0) / (2.0 * b)))
-    t_max = math.inf if math.isinf(sigma_max) else t_of_sigma(law, sigma_max)
-    val, _ = quad(
-        lambda t: dilution_coefficient(law, t) ** g
-        * math.exp((1.0 - w) * _log_int_L(law, t)),
-        0.0,
-        t_max,
-        limit=200,
-    )
-    return val
+    if k is LawKind.LOGISTIC:
+        t_max = math.inf if math.isinf(sigma_max) else t_of_sigma(law, sigma_max)
+        val, _ = quad(
+            lambda t: dilution_coefficient(law, t) ** g
+            * math.exp((1.0 - w) * _log_int_L(law, t)),
+            0.0,
+            t_max,
+            limit=200,
+        )
+        return val
+    # exponential: Phi = a/(1 - 2 r sigma), Psi = a^gamma/(1 - 2 r sigma)
+    r = _exp_rate(law)
+    a = 1.0 + law.dimension * r
+    full = a ** (g - 1.0) / (w - 1.0)
+    if sigma_max >= sigma_horizon(law):
+        return full
+    return full * (1.0 - (1.0 - 2.0 * r * sigma_max) ** (a * (w - 1.0) / (2.0 * r)))
 
 
 def mean_threshold(
@@ -136,10 +131,7 @@ def logistic_mean_threshold(
     Quadrature of L^gamma exp((1-omega) int L) composed exactly like the
     static/exponential thresholds.
     """
-    if m == 1.0:
-        raise ValueError("logistic threshold needs m != 1")
-    law = EvolutionLaw.logistic(beta, m, dimension)
-    return mean_threshold(law, idx)
+    return mean_threshold(EvolutionLaw.logistic(beta, m, dimension), idx)
 
 
 def bernoulli_bound(
@@ -162,22 +154,17 @@ def bernoulli_bound(
     ok = (0.0 < g < 1.0) and u0_mean > thr
     if not ok:
         return BoundReport(I, thr, None, False)
-    b, n, k = law.beta, law.dimension, law.kind
     z = u0_mean ** (1.0 - w)
-    if k is LawKind.STATIC:
+    if law.kind is LawKind.STATIC:
         sigma_upper = math.log(1.0 - z) / (1.0 - w)
-    elif k is LawKind.EXP_GROWTH:
-        a = 1.0 + n * b
-        sigma_upper = (1.0 - (1.0 - a ** (1.0 - g) * z) ** (2.0 * b / ((w - 1.0) * a))) / (
-            2.0 * b
-        )
-    elif k is LawKind.EXP_DECAY:
-        c = 1.0 - n * b
-        sigma_upper = ((1.0 - c ** (1.0 - g) * z) ** (2.0 * b / ((1.0 - w) * c)) - 1.0) / (
-            2.0 * b
-        )
-    else:
+    elif law.kind is LawKind.LOGISTIC:
         sigma_upper = None
+    else:
+        r = _exp_rate(law)
+        a = 1.0 + law.dimension * r
+        sigma_upper = (1.0 - (1.0 - a ** (1.0 - g) * z) ** (2.0 * r / ((w - 1.0) * a))) / (
+            2.0 * r
+        )
     return BoundReport(I, thr, sigma_upper, True)
 
 
@@ -209,14 +196,16 @@ def bernoulli_oracle(
     w, g = idx.omega, idx.gamma
     in_t = law.kind is LawKind.LOGISTIC
 
-    def rhs(clock: float, F: float) -> float:
+    def coeffs(clock: float) -> tuple[float, float]:
+        """(Phi, Psi) in the sigma clock, (Phi, Psi)/rho^2 = (L, L^gamma) in t."""
         if in_t:
             L = dilution_coefficient(law, clock)
-            return -L * F + L**g * F**w
-        return (
-            -dissipation_coeff(law, clock) * F
-            + reaction_coeff(law, clock, g) * F**w
-        )
+            return L, L**g
+        return reaction_coeff(law, clock, 1.0), reaction_coeff(law, clock, g)
+
+    def rhs(clock: float, F: float) -> float:
+        phi, psi = coeffs(clock)
+        return -phi * F + psi * F**w
 
     end = sigma_max
     if not in_t:
@@ -244,12 +233,8 @@ def bernoulli_oracle(
         if err < scale / 16.0:
             h = min(2.0 * h, dt)
         if not math.isfinite(F) or F >= blowup_value:
-            psi_here = (
-                dilution_coefficient(law, clock) ** g
-                if in_t
-                else reaction_coeff(law, clock, g)
-            )
-            tail = F ** (1.0 - w) / ((w - 1.0) * psi_here) if w > 1.0 and math.isfinite(F) else 0.0
+            tail = (F ** (1.0 - w) / ((w - 1.0) * coeffs(clock)[1])
+                    if w > 1.0 and math.isfinite(F) else 0.0)
             blow = clock + tail
             break
         if F <= 0.0:

@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 from .analysis import BlowUpReport, Verdict, bernoulli_bound
 from .evolution import EvolutionLaw, LawKind, sigma_horizon, sigma_of_t, t_of_sigma
-from .initdata import InitKind, InitSpec
-from .mesh import RadialGrid, RectGrid, write_field_csv
+from .initdata import InitKind, InitSpec, build_initial
+from .mesh import RadialGrid, RectGrid, mean, write_field_csv
 from .params import Parameters, derive_indices
 from .solver import RunConfig, SystemKind, advance
 
@@ -334,8 +334,6 @@ def _bound_block(cfg: RunConfig) -> list[str]:
     if idx.omega <= 1.0:
         lines.append("applicable = not-applicable (omega <= 1)")
         return lines
-    from .initdata import build_initial
-    from .mesh import mean
     u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p)
     rep = bernoulli_bound(cfg.law, idx, mean(u0, 1.0))
     lines += [
@@ -424,17 +422,6 @@ def bounds_report_text(cfg: RunConfig) -> str:
 
 # -------------------------------------------------------------- CLI plumbing
 
-def _law_from_args(args) -> EvolutionLaw:
-    kind = LawKind(args.evolution)
-    if kind is LawKind.STATIC:
-        return EvolutionLaw.static(args.dimension)
-    if kind is LawKind.LOGISTIC:
-        if args.m is None:
-            raise ConfigError("logistic law needs --m")
-        return EvolutionLaw.logistic(args.beta, args.m, args.dimension)
-    return EvolutionLaw(kind, beta=args.beta, dimension=args.dimension)
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="gmshadow", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -452,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     ap_c.add_argument("--evolution", required=True,
                       choices=[k.value for k in LawKind])
     ap_c.add_argument("--beta", type=float, default=0.0)
-    ap_c.add_argument("--m", type=float, default=None)
+    ap_c.add_argument("--m", type=float, default=1.0)
     ap_c.add_argument("--dimension", type=int, default=2)
     grp = ap_c.add_mutually_exclusive_group(required=True)
     grp.add_argument("--t", type=float)
@@ -478,7 +465,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg = parse_config(args.configpath)
             print(bounds_report_text(cfg))
             return 0
-        law = _law_from_args(args)
+        law = EvolutionLaw(LawKind(args.evolution), beta=args.beta, m=args.m,
+                           dimension=args.dimension)
         if args.t is not None:
             print(f"sigma = {sigma_of_t(law, args.t)!r}")
         else:

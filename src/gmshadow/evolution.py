@@ -9,7 +9,14 @@ sigma-form coefficients
     Psi(sigma) = phi^(2(1-gamma)) * Phi^gamma = rho^2 * L^gamma,
 
 where phi(sigma) = rho(t(sigma)).  Everything below uses per-law closed
-forms; nothing differentiates rho numerically.
+forms; nothing differentiates rho numerically.  reaction_coeff is the one
+body of the three: phi^2 and Phi are its gamma = 0 and gamma = 1 cases.
+
+exp_growth and exp_decay are one law, rho = e^(r t), with the signed rate
+r = +beta or -beta (_exp_rate); each closed form is written once in r and
+rounds to the same bits as the two per-sign forms.  sigma_of_t alone keeps
+two branches: 1 - exp(-2 beta t) and expm1(2 beta t) are not the same
+floating-point value.
 """
 
 from __future__ import annotations
@@ -85,36 +92,43 @@ class CoefficientBounds:
     M_psi: float
 
 
+def _exp_rate(law: EvolutionLaw) -> float:
+    """The signed rate r of an exponential law rho = e^(r t): +beta, -beta."""
+    return law.beta if law.kind is LawKind.EXP_GROWTH else -law.beta
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    # written so that NaN fails too; +inf passes
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be a nonnegative number, got {value}")
+
+
 def scale_factor(law: EvolutionLaw, t: float) -> float:
     """rho(t), the isotropic scale factor; rho(0) = 1."""
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _require_nonnegative("t", t)
     k, b = law.kind, law.beta
     if k is LawKind.STATIC:
         return 1.0
-    if k is LawKind.EXP_GROWTH:
-        return math.exp(b * t)
-    if k is LawKind.EXP_DECAY:
-        return math.exp(-b * t)
-    if math.isinf(t):
-        return law.m
-    e = math.exp(b * t)
-    return e / (1.0 + (e - 1.0) / law.m)
+    if k is LawKind.LOGISTIC:
+        if math.isinf(t):
+            return law.m
+        e = math.exp(b * t)
+        return e / (1.0 + (e - 1.0) / law.m)
+    return math.exp(_exp_rate(law) * t)
 
 
 def dilution_coefficient(law: EvolutionLaw, t: float) -> float:
     """L(t) = 1 + N*rho'(t)/rho(t), the volume-dilution factor."""
+    _require_nonnegative("t", t)
     k, b, n = law.kind, law.beta, law.dimension
     if k is LawKind.STATIC:
         return 1.0
-    if k is LawKind.EXP_GROWTH:
-        return 1.0 + n * b
-    if k is LawKind.EXP_DECAY:
-        return 1.0 - n * b
-    if math.isinf(t):
-        return 1.0
-    # logistic: rho' = beta*rho*(1 - rho/m), so N*rho'/rho = N*beta*(1-1/m) / (1+(e^{bt}-1)/m)
-    return 1.0 + n * b * (1.0 - 1.0 / law.m) / (1.0 + (math.exp(b * t) - 1.0) / law.m)
+    if k is LawKind.LOGISTIC:
+        if math.isinf(t):
+            return 1.0
+        # rho' = beta*rho*(1 - rho/m), so N*rho'/rho = N*beta*(1-1/m) / (1+(e^{bt}-1)/m)
+        return 1.0 + n * b * (1.0 - 1.0 / law.m) / (1.0 + (math.exp(b * t) - 1.0) / law.m)
+    return 1.0 + n * _exp_rate(law)
 
 
 def sigma_horizon(law: EvolutionLaw) -> float:
@@ -126,8 +140,7 @@ def sigma_horizon(law: EvolutionLaw) -> float:
 
 def sigma_of_t(law: EvolutionLaw, t: float) -> float:
     """sigma(t) = int_0^t rho(theta)^-2 dtheta, strictly increasing, sigma(0)=0."""
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _require_nonnegative("t", t)
     k, b = law.kind, law.beta
     if k is LawKind.STATIC:
         return t
@@ -148,76 +161,63 @@ def sigma_of_t(law: EvolutionLaw, t: float) -> float:
 
 def t_of_sigma(law: EvolutionLaw, sigma: float) -> float:
     """Inverse of sigma_of_t.  Rejects sigma outside the attainable range."""
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    _require_nonnegative("sigma", sigma)
     if sigma >= sigma_horizon(law):
         raise ValueError(
             f"sigma={sigma} is at or beyond the horizon {sigma_horizon(law)} "
             f"for {law.kind.value}"
         )
-    k, b = law.kind, law.beta
+    k = law.kind
     if k is LawKind.STATIC:
         return sigma
-    if k is LawKind.EXP_GROWTH:
-        return -math.log1p(-2.0 * b * sigma) / (2.0 * b)
-    if k is LawKind.EXP_DECAY:
-        return math.log1p(2.0 * b * sigma) / (2.0 * b)
-    if sigma == 0.0:
-        return 0.0
-    # logistic: bracket then solve the monotone closed form
-    hi = 1.0
-    while sigma_of_t(law, hi) < sigma:
-        hi *= 2.0
-    return brentq(
-        lambda t: sigma_of_t(law, t) - sigma, 0.0, hi, xtol=1e-14, rtol=8.9e-16
-    )
+    if k is LawKind.LOGISTIC:
+        if sigma == 0.0:
+            return 0.0
+        # bracket then solve the monotone closed form
+        hi = 1.0
+        while sigma_of_t(law, hi) < sigma:
+            hi *= 2.0
+        return brentq(
+            lambda t: sigma_of_t(law, t) - sigma, 0.0, hi, xtol=1e-14, rtol=8.9e-16
+        )
+    # sigma = (1 - e^{-2rt}) / (2r)
+    r = _exp_rate(law)
+    return -math.log1p(-2.0 * r * sigma) / (2.0 * r)
+
+
+def reaction_coeff(law: EvolutionLaw, sigma: float, gamma: float) -> float:
+    """Psi(sigma) = phi^(2(1-gamma)) * Phi^gamma = rho^2(t) * L(t)^gamma.
+
+    The one body of all three sigma-form coefficients: gamma = 0 gives
+    phi^2 and gamma = 1 gives Phi.
+    """
+    _require_nonnegative("sigma", sigma)
+    k = law.kind
+    if k is LawKind.STATIC:
+        return 1.0
+    if k is LawKind.LOGISTIC:
+        if math.isinf(sigma):
+            return law.m ** 2
+        t = t_of_sigma(law, sigma)
+        return scale_factor(law, t) ** 2 * dilution_coefficient(law, t) ** gamma
+    r = _exp_rate(law)
+    # only the exp_growth horizon is singular; exp_decay tends to 0 as sigma -> inf
+    if r > 0.0 and sigma >= sigma_horizon(law):
+        raise ValueError(
+            f"sigma={sigma} at or beyond the exp_growth horizon {sigma_horizon(law)}"
+        )
+    # rho^2 = 1/(1 - 2 r sigma) and L = 1 + N r
+    return (1.0 + law.dimension * r) ** gamma / (1.0 - 2.0 * r * sigma)
 
 
 def phi_squared(law: EvolutionLaw, sigma: float) -> float:
     """phi(sigma)^2 = rho(t(sigma))^2, the reaction prefactor of the shadow system."""
-    k, b = law.kind, law.beta
-    if k is LawKind.STATIC:
-        return 1.0
-    if k is LawKind.EXP_GROWTH:
-        _check_horizon(law, sigma)
-        return 1.0 / (1.0 - 2.0 * b * sigma)
-    if k is LawKind.EXP_DECAY:
-        return 1.0 / (1.0 + 2.0 * b * sigma)
-    if math.isinf(sigma):
-        return law.m ** 2
-    return scale_factor(law, t_of_sigma(law, sigma)) ** 2
+    return reaction_coeff(law, sigma, 0.0)
 
 
 def dissipation_coeff(law: EvolutionLaw, sigma: float) -> float:
     """Phi(sigma) = phi^2 + N*phi'/phi = rho^2(t) * L(t) at t = t(sigma)."""
-    k, b, n = law.kind, law.beta, law.dimension
-    if k is LawKind.STATIC:
-        return 1.0
-    if k is LawKind.EXP_GROWTH:
-        _check_horizon(law, sigma)
-        return (1.0 + n * b) / (1.0 - 2.0 * b * sigma)
-    if k is LawKind.EXP_DECAY:
-        return (1.0 - n * b) / (1.0 + 2.0 * b * sigma)
-    if math.isinf(sigma):
-        return law.m ** 2
-    t = t_of_sigma(law, sigma)
-    return scale_factor(law, t) ** 2 * dilution_coefficient(law, t)
-
-
-def reaction_coeff(law: EvolutionLaw, sigma: float, gamma: float) -> float:
-    """Psi(sigma) = phi^(2(1-gamma)) * Phi^gamma = rho^2(t) * L(t)^gamma."""
-    k, b, n = law.kind, law.beta, law.dimension
-    if k is LawKind.STATIC:
-        return 1.0
-    if k is LawKind.EXP_GROWTH:
-        _check_horizon(law, sigma)
-        return (1.0 + n * b) ** gamma / (1.0 - 2.0 * b * sigma)
-    if k is LawKind.EXP_DECAY:
-        return (1.0 - n * b) ** gamma / (1.0 + 2.0 * b * sigma)
-    if math.isinf(sigma):
-        return law.m ** 2
-    t = t_of_sigma(law, sigma)
-    return scale_factor(law, t) ** 2 * dilution_coefficient(law, t) ** gamma
+    return reaction_coeff(law, sigma, 1.0)
 
 
 def coefficient_bounds(
@@ -229,30 +229,21 @@ def coefficient_bounds(
     suffice.  A growth-law horizon touching 1/(2*beta) yields +inf suprema.
     """
     lo, hi = horizon
-    if lo < 0.0 or hi < lo:
+    if not 0.0 <= lo <= hi:
         raise ValueError(f"bad sigma interval {horizon}")
     smax = sigma_horizon(law)
     if lo >= smax:
         raise ValueError(f"interval start {lo} beyond the sigma horizon {smax}")
 
-    def at(f, sigma):
+    def at(e, sigma):
         # only the exp_growth horizon is a singular boundary; the other laws
         # have well-defined limits as sigma -> inf
         if math.isfinite(smax) and sigma >= smax:
             return math.inf
-        return f(sigma)
+        return reaction_coeff(law, sigma, e)
 
-    phis = (at(lambda s: dissipation_coeff(law, s), lo),
-            at(lambda s: dissipation_coeff(law, s), hi))
-    psis = (at(lambda s: reaction_coeff(law, s, gamma), lo),
-            at(lambda s: reaction_coeff(law, s, gamma), hi))
+    phis = (at(1.0, lo), at(1.0, hi))
+    psis = (at(gamma, lo), at(gamma, hi))
     return CoefficientBounds(
         m_phi=min(phis), M_phi=max(phis), m_psi=min(psis), M_psi=max(psis)
     )
-
-
-def _check_horizon(law: EvolutionLaw, sigma: float) -> None:
-    if sigma >= sigma_horizon(law):
-        raise ValueError(
-            f"sigma={sigma} at or beyond the exp_growth horizon {sigma_horizon(law)}"
-        )

@@ -14,6 +14,15 @@ The t-form reaction coefficient L^gamma is the exact image of the
 sigma-form Psi under the clock change (Psi/rho^2 = L^gamma), so the two
 formulations integrate the same dynamics.
 
+_rhs_arrays writes the activator rate once for all four families,
+
+  d Lap u - a u + b u^p / denom,    d = D1/rho^2 (rho = 1 in the sigma clock),
+
+choosing only the coefficients: a = Phi(s) in the sigma clock and L(t) in
+the t clock; b = Psi, phi^2, L^gamma or 1; denom = (avg u^r)^gamma for the
+non-local families, eta^q or v^q with an inhibitor.  The inhibitors reuse
+the same a.
+
 The effective step is min(dt, h^2/(4 D_eff), relative growth clamp); the
 clamp keeps each update below ~10% of the solution scale so runs terminate
 cleanly at the blow-up threshold instead of overflowing.  The stiff linear
@@ -238,34 +247,32 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     gamma = ctx.idx.gamma
     if low <= 0.0:
         raise NonPositiveStateError("activator lost positivity")
-    kind = cfg.system
-    lap = ctx.laplacian(u)
-    up = fast_pow(u, p.p)
-    if kind is SystemKind.NONLOCAL_SIGMA:
-        phi = dissipation_coeff(cfg.law, clock)
-        psi = reaction_coeff(cfg.law, clock, gamma)
-        denom = ctx.nonlocal_mean(u, p.r) ** gamma if gamma != 0.0 else 1.0
-        return p.D1 * lap - phi * u + psi * up / denom, None
-    if kind is SystemKind.NONLOCAL_T:
-        L = dilution_coefficient(cfg.law, clock)
-        denom = ctx.nonlocal_mean(u, p.r) ** gamma if gamma != 0.0 else 1.0
-        return (p.D1 / rho2) * lap - L * u + L**gamma * up / denom, None
+    kind, law = cfg.system, cfg.law
+    # the activator rate is d Lap u - a u + b u^p / denom, with d = D1/rho2
     if kind is SystemKind.SHADOW_TAU:
         eta = aux
         if eta is None or eta <= POSITIVITY_FLOOR:
             raise NonPositiveStateError(f"inhibitor eta nonpositive: {eta}")
-        phi = dissipation_coeff(cfg.law, clock)
-        ph2 = phi_squared(cfg.law, clock)
-        du = p.D1 * lap - phi * u + ph2 * up / eta**p.q
-        deta = (-phi * eta + ph2 * ctx.nonlocal_mean(u, p.r) / eta**p.s) / p.tau
-        return du, deta
-    v = aux
-    if v is None or v.min() <= POSITIVITY_FLOOR:
-        raise NonPositiveStateError("inhibitor v nonpositive")
-    L = dilution_coefficient(cfg.law, clock)
-    du = (p.D1 / rho2) * lap - L * u + up / fast_pow(v, p.q)
-    dv_kin = (-L * v + fast_pow(u, p.r) / fast_pow(v, p.s)) / p.tau
-    return du, dv_kin
+        a, b = dissipation_coeff(law, clock), phi_squared(law, clock)
+        denom = eta**p.q
+        daux = (-a * eta + b * ctx.nonlocal_mean(u, p.r) / eta**p.s) / p.tau
+    elif kind is SystemKind.FULL_RD:
+        v = aux
+        if v is None or v.min() <= POSITIVITY_FLOOR:
+            raise NonPositiveStateError("inhibitor v nonpositive")
+        a, b = dilution_coefficient(law, clock), 1.0
+        denom = fast_pow(v, p.q)
+        daux = (-a * v + fast_pow(u, p.r) / fast_pow(v, p.s)) / p.tau
+    else:
+        if kind is SystemKind.NONLOCAL_SIGMA:
+            a, b = dissipation_coeff(law, clock), reaction_coeff(law, clock, gamma)
+        else:
+            a = dilution_coefficient(law, clock)
+            b = a**gamma
+        denom = ctx.nonlocal_mean(u, p.r) ** gamma if gamma != 0.0 else 1.0
+        daux = None
+    du = (p.D1 / rho2) * ctx.laplacian(u) - a * u + b * fast_pow(u, p.p) / denom
+    return du, daux
 
 
 def _field_dt_limit(dt: float, vals, sup: float, dvals) -> float:
@@ -291,14 +298,12 @@ def _dt_effective(ctx: _Ctx, u, sup: float, du, aux, daux, rho2: float) -> float
     return dt * cfg.dt_safety
 
 
-def step(config: RunConfig, state: RunState, ctx: _Ctx | None = None) -> RunState:
+def step(config: RunConfig, state: RunState) -> RunState:
     """One forward-Euler update; advances clocks, re-checks positivity,
     and sets the verdict on threshold crossing, horizon or overflow."""
     if state.verdict is not None:
         raise RuntimeError("run already terminated")
-    if ctx is None:
-        ctx = _Ctx(config)
-    _step(ctx, state, float(state.u.max()), float(state.u.min()))
+    _step(_Ctx(config), state, float(state.u.max()), float(state.u.min()))
     return state
 
 

@@ -6,6 +6,7 @@ import pytest
 from gmshadow import (
     EvolutionLaw,
     Field,
+    LawKind,
     Parameters,
     RadialGrid,
     RectGrid,
@@ -20,6 +21,7 @@ from gmshadow import (
     logistic_mean_threshold,
     mean_threshold,
     moment_blowup_check,
+    sigma_horizon,
     threshold_integral,
 )
 from gmshadow.initdata import spike_profile
@@ -207,3 +209,56 @@ def test_locate_blowup_peak_and_envelope():
 def test_locate_blowup_requires_radial():
     with pytest.raises(TypeError):
         locate_blowup(Field(RectGrid(5, 5), np.ones((5, 5))))
+
+
+# the exponential-law closed forms written out per sign, as they stood
+# before exp_growth and exp_decay became one signed-rate law; the merged
+# forms must round to the same bits
+def _per_sign_threshold_integral(law, idx, sigma_max):
+    w, g, b, n = idx.omega, idx.gamma, law.beta, law.dimension
+    if law.kind is LawKind.EXP_GROWTH:
+        a = 1.0 + n * b
+        full = a ** (g - 1.0) / (w - 1.0)
+        if sigma_max >= 1.0 / (2.0 * b):
+            return full
+        return full * (1.0 - (1.0 - 2.0 * b * sigma_max) ** (a * (w - 1.0) / (2.0 * b)))
+    c = 1.0 - n * b
+    full = c ** (g - 1.0) / (w - 1.0)
+    if math.isinf(sigma_max):
+        return full
+    return full * (1.0 - (1.0 + 2.0 * b * sigma_max) ** (-c * (w - 1.0) / (2.0 * b)))
+
+
+def _per_sign_sigma_upper(law, idx, u0_mean):
+    w, g, b, n = idx.omega, idx.gamma, law.beta, law.dimension
+    z = u0_mean ** (1.0 - w)
+    if law.kind is LawKind.EXP_GROWTH:
+        a = 1.0 + n * b
+        return (1.0 - (1.0 - a ** (1.0 - g) * z) ** (2.0 * b / ((w - 1.0) * a))) / (2.0 * b)
+    c = 1.0 - n * b
+    return ((1.0 - c ** (1.0 - g) * z) ** (2.0 * b / ((1.0 - w) * c)) - 1.0) / (2.0 * b)
+
+
+EXP_LAWS = [GROWTH, EvolutionLaw.exp_growth(0.37, 3), EvolutionLaw.exp_growth(1.3, 1),
+            DECAY, EvolutionLaw.exp_decay(0.29, 3), EvolutionLaw.exp_decay(0.77, 1)]
+SUPERCRITICAL = [IDX, derive_indices(Parameters(p=4, q=1, r=1, s=2)),
+                 derive_indices(Parameters(p=2.5, q=1, r=1.5, s=0.5)),
+                 derive_indices(Parameters(p=5, q=3, r=2, s=3))]
+
+
+@pytest.mark.parametrize("law", EXP_LAWS,
+                         ids=lambda l: f"{l.kind.value}-{l.beta}-N{l.dimension}")
+def test_exponential_bounds_match_per_sign_formulas_bit_for_bit(law):
+    top = min(sigma_horizon(law), 20.0)
+    sigmas = [0.3311, *np.random.default_rng(12).uniform(0.0, top, 20), math.inf]
+    for idx in SUPERCRITICAL:
+        for s in sigmas:
+            s = float(s)
+            assert threshold_integral(law, idx, s) == _per_sign_threshold_integral(law, idx, s)
+        checked = 0
+        for u0 in (1.1, 1.5, 2.0, 3.7, 10.0, 40.0):
+            rep = bernoulli_bound(law, idx, u0)
+            if rep.applicable:
+                assert rep.sigma_upper == _per_sign_sigma_upper(law, idx, u0)
+                checked += 1
+        assert checked >= 2

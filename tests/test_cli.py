@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gmshadow import EvolutionLaw, Parameters, RadialGrid, SystemKind, Verdict
+from gmshadow import EvolutionLaw, Parameters, RadialGrid, SystemKind, Verdict, sigma_of_t
 from gmshadow.cli import (
     PRESETS,
     ConfigError,
@@ -228,6 +228,29 @@ def test_cli_convert_time(capsys):
     rc = main(["convert-time", "--evolution", "static", "--t", "3.0"])
     assert rc == 0
     assert "sigma = 3.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("law, flags", [
+    (EvolutionLaw.exp_decay(0.1, 2), ["--evolution", "exp_decay", "--beta", "0.1"]),
+    (EvolutionLaw.logistic(0.1, 1.5, 2),
+     ["--evolution", "logistic", "--beta", "0.1", "--m", "1.5"]),
+], ids=["exp_decay", "logistic"])
+def test_cli_convert_time_prints_sigma_of_t(law, flags, capsys):
+    assert main(["convert-time", *flags, "--t", "1.3"]) == 0
+    assert capsys.readouterr().out == f"sigma = {sigma_of_t(law, 1.3)!r}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--evolution", "exp_decay", "--beta", "0.1", "--t", "nan"],
+     "t must be a nonnegative number"),
+    (["--evolution", "exp_growth", "--beta", "0.1", "--sigma", "nan"],
+     "sigma must be a nonnegative number"),
+    (["--evolution", "logistic", "--beta", "0.1", "--t", "1.0"],
+     "logistic requires m > 0 and m != 1"),
+], ids=["t_nan", "sigma_nan", "logistic_without_m"])
+def test_cli_convert_time_rejects_bad_input(argv, message, capsys):
+    assert main(["convert-time", *argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_bounds_verb(tmp_path, capsys):

@@ -180,3 +180,92 @@ def test_logistic_sigma_matches_richardson_refined_trapezoid():
         vals.append(np.trapezoid(integrand, ts))
     richardson = (4.0 * vals[1] - vals[0]) / 3.0
     assert sigma_of_t(law, t_end) == pytest.approx(richardson, rel=1e-8)
+
+
+# ------------------------------------------- nonnegative-number guards
+
+def _psi(law, x):
+    return reaction_coeff(law, x, 0.4)
+
+
+GUARDED = [scale_factor, dilution_coefficient, sigma_of_t, t_of_sigma,
+           phi_squared, dissipation_coeff, _psi]
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("fn", GUARDED, ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("law", ALL, ids=lambda l: l.kind.value)
+def test_clock_and_coefficient_functions_reject_nan_and_negative(law, fn, bad):
+    with pytest.raises(ValueError, match="must be a nonnegative number"):
+        fn(law, bad)
+
+
+@pytest.mark.parametrize("horizon", [(math.nan, 1.0), (0.0, math.nan), (-0.1, 1.0), (1.0, 0.5)])
+def test_coefficient_bounds_rejects_bad_interval(horizon):
+    with pytest.raises(ValueError, match="bad sigma interval"):
+        coefficient_bounds(STATIC, 0.5, horizon)
+
+
+def test_infinite_clocks_stay_legal():
+    for law in ALL:
+        assert sigma_of_t(law, math.inf) == sigma_horizon(law)
+    assert dilution_coefficient(LOGISTIC, math.inf) == 1.0
+    assert dissipation_coeff(DECAY, math.inf) == 0.0
+    assert reaction_coeff(LOGISTIC, math.inf, 0.4) == 1.5**2
+
+
+# ------------------------------- exponential laws, one signed-rate form
+
+# the closed forms written out per sign, as they stood before exp_growth
+# and exp_decay became one law rho = e^(r t); the merged forms must round
+# to the same bits
+def _growth_forms(b, n):
+    return dict(
+        scale=lambda t: math.exp(b * t),
+        dilution=lambda t: 1.0 + n * b,
+        t_of_sigma=lambda s: -math.log1p(-2.0 * b * s) / (2.0 * b),
+        phi2=lambda s: 1.0 / (1.0 - 2.0 * b * s),
+        Phi=lambda s: (1.0 + n * b) / (1.0 - 2.0 * b * s),
+        Psi=lambda s, g: (1.0 + n * b) ** g / (1.0 - 2.0 * b * s),
+    )
+
+
+def _decay_forms(b, n):
+    return dict(
+        scale=lambda t: math.exp(-b * t),
+        dilution=lambda t: 1.0 - n * b,
+        t_of_sigma=lambda s: math.log1p(2.0 * b * s) / (2.0 * b),
+        phi2=lambda s: 1.0 / (1.0 + 2.0 * b * s),
+        Phi=lambda s: (1.0 - n * b) / (1.0 + 2.0 * b * s),
+        Psi=lambda s, g: (1.0 - n * b) ** g / (1.0 + 2.0 * b * s),
+    )
+
+
+EXP_LAWS = [GROWTH, EvolutionLaw.exp_growth(0.37, 3), EvolutionLaw.exp_growth(1.3, 1),
+            DECAY, EvolutionLaw.exp_decay(0.29, 3), EvolutionLaw.exp_decay(0.77, 1)]
+GAMMAS = [0.0, 0.4, 2.0 / 3.0, 1.0, 1.7]
+
+
+@pytest.mark.parametrize("law", EXP_LAWS,
+                         ids=lambda l: f"{l.kind.value}-{l.beta}-N{l.dimension}")
+def test_exponential_forms_match_per_sign_formulas_bit_for_bit(law):
+    forms = _growth_forms if law.kind is LawKind.EXP_GROWTH else _decay_forms
+    f = forms(law.beta, law.dimension)
+    rng = np.random.default_rng(11)
+    for t in [0.0, 0.3311, 1.0, 7.5, math.inf, *rng.uniform(0.0, 20.0, 50)]:
+        t = float(t)
+        assert scale_factor(law, t) == f["scale"](t)
+        assert dilution_coefficient(law, t) == f["dilution"](t)
+    top = min(sigma_horizon(law), 20.0)
+    sigmas = [0.0, 0.3311, *rng.uniform(0.0, top, 50)]
+    for s in sigmas:
+        s = float(s)
+        assert t_of_sigma(law, s) == f["t_of_sigma"](s)
+    if math.isinf(sigma_horizon(law)):
+        sigmas.append(math.inf)
+    for s in sigmas:
+        s = float(s)
+        assert phi_squared(law, s) == f["phi2"](s)
+        assert dissipation_coeff(law, s) == f["Phi"](s)
+        for g in GAMMAS:
+            assert reaction_coeff(law, s, g) == f["Psi"](s, g)

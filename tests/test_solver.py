@@ -18,6 +18,7 @@ from gmshadow import (
     derive_indices,
     dilution_coefficient,
     dissipation_coeff,
+    phi_squared,
     reaction_coeff,
     rhs,
     scale_factor,
@@ -104,6 +105,67 @@ def test_rhs_t_form_uses_dilution_coefficients():
     gamma = 2.0 / 3.0
     expect = -L * 2.0 + L**gamma * 8.0 / 2.0**gamma
     assert du.values == pytest.approx(np.full(cfg.grid.shape, expect), rel=1e-12)
+
+
+def _per_family_rates(cfg, u, aux, clock):
+    """Each family's rates written out on their own, as they stood before
+    _rhs_arrays chose coefficients for one shared activator expression."""
+    p, law, gamma = cfg.params, cfg.law, derive_indices(cfg.params).gamma
+    lap = cfg.grid.laplacian_operator()(u)
+    up = fast_pow(u, p.p)
+    w = cfg.grid.quad_weights().ravel()
+    mean_r = float(np.dot(w, fast_pow(u, p.r).ravel()))
+    denom = mean_r**gamma if gamma != 0.0 else 1.0
+    kind = cfg.system
+    if kind is SystemKind.NONLOCAL_SIGMA:
+        phi = dissipation_coeff(law, clock)
+        psi = reaction_coeff(law, clock, gamma)
+        return p.D1 * lap - phi * u + psi * up / denom, None
+    if kind is SystemKind.SHADOW_TAU:
+        phi = dissipation_coeff(law, clock)
+        ph2 = phi_squared(law, clock)
+        du = p.D1 * lap - phi * u + ph2 * up / aux**p.q
+        return du, (-phi * aux + ph2 * mean_r / aux**p.s) / p.tau
+    rho2 = scale_factor(law, clock) ** 2
+    L = dilution_coefficient(law, clock)
+    if kind is SystemKind.NONLOCAL_T:
+        return (p.D1 / rho2) * lap - L * u + L**gamma * up / denom, None
+    du = (p.D1 / rho2) * lap - L * u + up / fast_pow(aux, p.q)
+    return du, (-L * aux + fast_pow(u, p.r) / fast_pow(aux, p.s)) / p.tau
+
+
+LOGISTIC = EvolutionLaw.logistic(0.1, 1.5, 2)
+KINETICS = Parameters(p=3, q=2, r=1, s=2, D1=0.37, D2=1.3, tau=0.05)
+UNINHIBITED = Parameters(p=2.5, q=0, r=1.5, s=1, D1=0.37)  # gamma = 0
+
+
+@pytest.mark.parametrize("system, law, params", [
+    (SystemKind.NONLOCAL_SIGMA, STATIC, KINETICS),
+    (SystemKind.NONLOCAL_SIGMA, GROWTH, KINETICS),
+    (SystemKind.NONLOCAL_SIGMA, DECAY, UNINHIBITED),
+    (SystemKind.SHADOW_TAU, GROWTH, KINETICS),
+    (SystemKind.SHADOW_TAU, DECAY, KINETICS),
+    (SystemKind.NONLOCAL_T, DECAY, KINETICS),
+    (SystemKind.NONLOCAL_T, LOGISTIC, UNINHIBITED),
+    (SystemKind.FULL_RD, GROWTH, KINETICS),
+    (SystemKind.FULL_RD, LOGISTIC, KINETICS),
+], ids=lambda v: (v.value if isinstance(v, SystemKind)
+                  else v.kind.value if isinstance(v, EvolutionLaw)
+                  else f"gamma{derive_indices(v).gamma:.3g}"))
+def test_rhs_matches_per_family_formula_bit_for_bit(system, law, params):
+    cfg = small_cfg(system=system, law=law, params=params, grid=RectGrid(14, 11))
+    rng = np.random.default_rng(8)
+    u = rng.uniform(0.5, 3.0, cfg.grid.shape)
+    aux = {SystemKind.SHADOW_TAU: 1.7,
+           SystemKind.FULL_RD: rng.uniform(0.5, 3.0, cfg.grid.shape)}.get(system)
+    clock = 0.37
+    du, daux = rhs(cfg, Field(cfg.grid, u), aux, clock)
+    ref_du, ref_daux = _per_family_rates(cfg, u, aux, clock)
+    assert np.array_equal(du.values, ref_du)
+    if ref_daux is None:
+        assert daux is None
+    else:
+        assert np.array_equal(daux, ref_daux)
 
 
 def test_t_and_sigma_forms_agree_pointwise():
