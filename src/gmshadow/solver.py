@@ -40,14 +40,23 @@ next step's verdict check, positivity check and dt selection and into its
 own sample trigger), and the max of |du| and of u/|du| for dt.  FULL_RD
 adds the max and min of v and the same two dt reductions on v.  The
 update u + dt*du is formed in du's buffer, and the t-clock families
-evaluate rho(clock) once per step.  A _Ctx's Laplacian owns
-scratch buffers, so one _Ctx must serve one thread at a time.
+evaluate rho(clock) once per step.
+
+The per-run machinery (indices, quadrature weights, Laplacian, inhibitor
+solve, clock end) lives in a _Ctx.  advance() builds one per run; step()
+keeps one on the RunState and rebuilds it only when the config no longer
+equals the snapshot the context was built from, so an in-place edit of a
+RunConfig between calls takes effect, and each build re-runs the
+config's validation.  A _Ctx's Laplacian owns scratch buffers, so use one
+RunState per thread: copy.copy(state) shares the context, while
+copy.deepcopy and pickle rebuild it from its config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -190,22 +199,35 @@ class RunState:
     steps: int = 0
     verdict: Verdict | None = None
     dt_last: float = 0.0
+    # step()'s context; rebuilt whenever the config passed to step() changes
+    _ctx: _Ctx | None = field(default=None, init=False, compare=False, repr=False)
 
 
 class _Ctx:
-    """Precomputed per-run machinery: weights, laplacian, inhibitor solve."""
+    """Precomputed per-run machinery: weights, laplacian, inhibitor solve,
+    clock end."""
 
     def __init__(self, config: RunConfig):
-        self.cfg = config
-        self.idx = derive_indices(config.params)
-        g = config.grid
+        # a shallow snapshot: it re-runs RunConfig's validation, and step()
+        # compares it with the caller's config to see an in-place edit
+        self.cfg = cfg = replace(config)
+        self.idx = derive_indices(cfg.params)
+        g = cfg.grid
         self.w = g.quad_weights().ravel()
         self.laplacian = g.laplacian_operator()
         self.pin_outer = isinstance(g, RadialGrid) and g.outer_bc == "dirichlet"
         self.h2 = g.h_min**2
-        if config.system is SystemKind.FULL_RD:
+        if cfg.system is SystemKind.FULL_RD:
             # (I - nu*Lap)^-1, exact in the grid's cosine basis
             self.diffuse_inhibitor = g.resolvent_operator()
+        self.end = cfg.end_time
+        if not cfg.system.t_native:
+            # the sigma horizon is t = inf; stop within a relative tolerance of it
+            self.end = min(self.end, sigma_horizon(cfg.law) * (1.0 - 1e-9))
+
+    def __reduce__(self):
+        # the operators are closures; a copy rebuilds them with its own buffers
+        return (_Ctx, (self.cfg,))
 
     def nonlocal_mean(self, u: np.ndarray, power: float) -> float:
         m = float(np.dot(self.w, fast_pow(u, power).ravel()))
@@ -230,13 +252,38 @@ def rhs(
 
     Returns the pointwise activator rate and, when an inhibitor is present,
     its rate (for FULL_RD: the kinetic part only; the inhibitor diffusion is
-    applied inside step() by an exact spectral solve).
+    applied inside step() by an exact spectral solve).  Raises ValueError
+    when u or aux does not fit the config.
+
+    Each call builds its own context: rhs() has no state to keep one on,
+    and a context shared between calls would share the Laplacian's scratch
+    buffers across threads.
     """
+    if u.grid != config.grid:
+        raise ValueError(f"u is on {u.grid}, the config on {config.grid}")
+    _check_state(config, u.values, aux)
     ctx = _Ctx(config)
     du, daux = _rhs_arrays(
         ctx, u.values, aux, clock, float(u.values.min()), _rho_squared(config, clock)
     )
     return Field(u.grid, du), daux
+
+
+def _check_state(cfg: RunConfig, u: np.ndarray, aux) -> None:
+    """Reject a u or aux that does not fit cfg; no pass over the arrays."""
+    if u.shape != cfg.grid.shape:
+        raise ValueError(f"u has shape {u.shape}, the grid {cfg.grid.shape}")
+    kind = cfg.system
+    if kind is SystemKind.SHADOW_TAU:
+        fits, want = isinstance(aux, numbers.Real), "a float eta"
+    elif kind is SystemKind.FULL_RD:
+        fits = isinstance(aux, np.ndarray) and aux.shape == cfg.grid.shape
+        want = f"an array v of shape {cfg.grid.shape}"
+    else:
+        fits, want = aux is None, "no inhibitor (aux=None)"
+    if not fits:
+        got = f"an array of shape {aux.shape}" if isinstance(aux, np.ndarray) else repr(aux)
+        raise ValueError(f"{kind.value} needs {want}, got {got}")
 
 
 def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
@@ -251,14 +298,14 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     # the activator rate is d Lap u - a u + b u^p / denom, with d = D1/rho2
     if kind is SystemKind.SHADOW_TAU:
         eta = aux
-        if eta is None or eta <= POSITIVITY_FLOOR:
+        if eta <= POSITIVITY_FLOOR:
             raise NonPositiveStateError(f"inhibitor eta nonpositive: {eta}")
         a, b = dissipation_coeff(law, clock), phi_squared(law, clock)
         denom = eta**p.q
         daux = (-a * eta + b * ctx.nonlocal_mean(u, p.r) / eta**p.s) / p.tau
     elif kind is SystemKind.FULL_RD:
         v = aux
-        if v is None or v.min() <= POSITIVITY_FLOOR:
+        if v.min() <= POSITIVITY_FLOOR:
             raise NonPositiveStateError("inhibitor v nonpositive")
         a, b = dilution_coefficient(law, clock), 1.0
         denom = fast_pow(v, p.q)
@@ -300,10 +347,20 @@ def _dt_effective(ctx: _Ctx, u, sup: float, du, aux, daux, rho2: float) -> float
 
 def step(config: RunConfig, state: RunState) -> RunState:
     """One forward-Euler update; advances clocks, re-checks positivity,
-    and sets the verdict on threshold crossing, horizon or overflow."""
+    and sets the verdict on threshold crossing, horizon or overflow.
+
+    The context is kept on the state and rebuilt, with the config's
+    validation, only when config differs from the one it was built from.
+    Raises ValueError when the config is invalid or the state does not
+    fit it.
+    """
     if state.verdict is not None:
         raise RuntimeError("run already terminated")
-    _step(_Ctx(config), state, float(state.u.max()), float(state.u.min()))
+    ctx = state._ctx
+    if ctx is None or ctx.cfg != config:
+        ctx = state._ctx = _Ctx(config)
+    _check_state(ctx.cfg, state.u, state.aux)
+    _step(ctx, state, float(state.u.max()), float(state.u.min()))
     return state
 
 
@@ -321,10 +378,7 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     if sup <= cfg.quench_threshold:
         state.verdict = Verdict.QUENCH
         return sup, low
-    end = cfg.end_time
-    if not cfg.system.t_native:
-        # the sigma horizon is t = inf; stop within a relative tolerance of it
-        end = min(end, sigma_horizon(cfg.law) * (1.0 - 1e-9))
+    end = ctx.end
     if clock >= end * (1.0 - 1e-14):
         state.verdict = Verdict.HORIZON_REACHED
         return sup, low

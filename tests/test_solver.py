@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -546,7 +550,9 @@ def _step_loop(cfg):
               law=EvolutionLaw.static(3), grid=RadialGrid(3, 65, outer_bc="dirichlet"),
               init=InitSpec(InitKind.SPIKY, delta=0.8, lam=0.1), dt=5e-4,
               end_time=0.01, quench_threshold=1e-6),
-], ids=["rect_nonlocal_t", "shadow_tau", "full_rd", "radial_dirichlet"])
+    small_cfg(system=SystemKind.NONLOCAL_SIGMA, law=DECAY, grid=RectGrid(13, 16),
+              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.1),
+], ids=["rect_nonlocal_t", "shadow_tau", "full_rd", "radial_dirichlet", "nonlocal_sigma"])
 def test_advance_matches_step_loop(cfg, monkeypatch):
     # advance() carries each step's max/min into the next; step() recomputes them
     states = []
@@ -567,3 +573,155 @@ def test_advance_matches_step_loop(cfg, monkeypatch):
     assert np.array_equal(run.u, ref.u)
     assert np.array_equal(run.aux, ref.aux)
     assert np.array_equal(snaps["final"].values, ref.u)
+
+
+# ------------------------------------------------------- step's context
+
+TAU = Parameters(p=3, q=2, r=1, s=2, tau=0.1)
+
+
+def _count_quad_weights(monkeypatch):
+    """Calls of RectGrid.quad_weights, which every context build makes once."""
+    calls = []
+    original = RectGrid.quad_weights
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RectGrid, "quad_weights", counted)
+    return calls
+
+
+def test_step_builds_its_context_once(monkeypatch):
+    calls = _count_quad_weights(monkeypatch)
+    cfg = small_cfg()
+    state = RunState(u=np.full(cfg.grid.shape, 2.0), aux=None, clock=0.0)
+    for _ in range(25):
+        step(cfg, state)
+    assert state.steps == 25
+    assert len(calls) == 1
+
+
+def _edit_dt(cfg, state):
+    cfg.dt = 5e-4
+    return 5e-4
+
+
+def _edit_params(cfg, state):
+    cfg.params = Parameters(p=3, q=2, r=1, s=2, D1=4.0)
+    return (1 / 8) ** 2 / 16.0  # the diffusion cap h^2/(4 D1) now binds
+
+
+def _edit_grid(cfg, state):
+    cfg.grid = RectGrid(65, 65)
+    state.u = np.full(cfg.grid.shape, 2.0)
+    return (1 / 64) ** 2 / 4.0
+
+
+@pytest.mark.parametrize("edit", [_edit_dt, _edit_params, _edit_grid],
+                         ids=["dt", "params", "grid"])
+def test_step_rebuilds_its_context_after_an_in_place_edit(edit, monkeypatch):
+    calls = _count_quad_weights(monkeypatch)
+    cfg = small_cfg()
+    state = RunState(u=np.full(cfg.grid.shape, 2.0), aux=None, clock=0.0)
+    step(cfg, state)
+    assert state.dt_last == 1e-3
+    expected_dt = edit(cfg, state)
+    step(cfg, state)
+    assert len(calls) == 2
+    assert state.dt_last == pytest.approx(expected_dt, rel=1e-12)
+    assert state.u.shape == cfg.grid.shape
+    step(cfg, state)
+    assert len(calls) == 2
+
+
+def test_new_and_replaced_states_have_no_context():
+    cfg = small_cfg()
+    state = RunState(u=np.full(cfg.grid.shape, 2.0), aux=None, clock=0.0)
+    assert state._ctx is None
+    step(cfg, state)
+    assert state._ctx is not None
+    assert dataclasses.replace(state)._ctx is None
+    assert "_ctx" not in repr(state)
+
+
+@pytest.mark.parametrize("copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("cfg", [
+    small_cfg(system=SystemKind.SHADOW_TAU, params=TAU, law=DECAY, eta0=0.7,
+              init=InitSpec(InitKind.COSINE_PLUS, c=2.0)),
+    small_cfg(system=SystemKind.FULL_RD,
+              params=Parameters(p=3, q=2, r=1, s=2, D1=0.01, D2=1.0, tau=0.01),
+              law=DECAY, grid=RectGrid(17, 13), v0=2.0,
+              init=InitSpec(InitKind.COSINE_PLUS, c=2.0)),
+], ids=["shadow_tau", "full_rd"])
+def test_copied_state_steps_on_bit_identically(cfg, copier):
+    u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p).values
+    aux = cfg.eta0 if cfg.system is SystemKind.SHADOW_TAU else np.full(cfg.grid.shape, cfg.v0)
+    state = RunState(u=u0.copy(), aux=aux, clock=0.0)
+    for _ in range(5):
+        step(cfg, state)
+    twin = copier(state)
+    ctx = twin._ctx
+    assert ctx is not None and ctx.laplacian is not state._ctx.laplacian
+    for _ in range(20):
+        step(cfg, state)
+        step(cfg, twin)
+    assert twin._ctx is ctx
+    assert twin.steps == state.steps == 25
+    assert twin.clock == state.clock
+    assert np.array_equal(twin.u, state.u)
+    assert np.array_equal(twin.aux, state.aux)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("dt", -1.0, "dt must be positive, got -1.0"),
+    ("dt_safety", 5.0, "dt_safety must be in (0, 1], got 5.0"),
+], ids=["dt", "dt_safety"])
+def test_step_revalidates_an_edited_config(name, value, message):
+    cfg = small_cfg()
+    state = RunState(u=np.full(cfg.grid.shape, 2.0), aux=None, clock=0.0)
+    step(cfg, state)
+    setattr(cfg, name, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        step(cfg, state)
+    assert state.steps == 1
+
+
+def test_advance_revalidates_an_edited_config():
+    cfg = small_cfg()
+    cfg.end_time = -1.0
+    with pytest.raises(ValueError, match=re.escape("end_time must be positive, got -1.0")):
+        advance(cfg)
+
+
+SHAPE = re.escape("u has shape (10, 10), the grid (9, 9)")
+OTHER_GRID = re.escape("u is on RectGrid(nx=10, ny=10), the config on RectGrid(nx=9, ny=9)")
+
+
+@pytest.mark.parametrize("system, params, grid, aux, step_message, rhs_message", [
+    (SystemKind.NONLOCAL_SIGMA, TABLE1, RectGrid(10, 10), None, SHAPE, OTHER_GRID),
+    (SystemKind.SHADOW_TAU, TAU, RectGrid(9, 9), None,
+     "shadow_tau needs a float eta, got None", None),
+    (SystemKind.NONLOCAL_SIGMA, TABLE1, RectGrid(9, 9), np.ones((9, 9)),
+     re.escape("nonlocal_sigma needs no inhibitor (aux=None), got an array of shape (9, 9)"),
+     None),
+    (SystemKind.NONLOCAL_T, TABLE1, RectGrid(9, 9), 1.0,
+     re.escape("nonlocal_t needs no inhibitor (aux=None), got 1.0"), None),
+    (SystemKind.FULL_RD, TAU, RectGrid(9, 9), 2.0,
+     re.escape("full_rd needs an array v of shape (9, 9), got 2.0"), None),
+    (SystemKind.FULL_RD, TAU, RectGrid(9, 9), np.ones((9, 8)),
+     re.escape("full_rd needs an array v of shape (9, 9), got an array of shape (9, 8)"),
+     None),
+], ids=["u_shape", "shadow_tau_no_eta", "nonlocal_sigma_array", "nonlocal_t_float",
+        "full_rd_float", "full_rd_v_shape"])
+def test_step_and_rhs_reject_a_state_that_does_not_fit(
+        system, params, grid, aux, step_message, rhs_message):
+    cfg = small_cfg(system=system, params=params)
+    state = RunState(u=np.full(grid.shape, 2.0), aux=aux, clock=0.0)
+    with pytest.raises(ValueError, match=step_message):
+        step(cfg, state)
+    assert state.steps == 0 and state.verdict is None
+    with pytest.raises(ValueError, match=rhs_message or step_message):
+        rhs(cfg, const_field(grid, 2.0), aux, 0.0)
