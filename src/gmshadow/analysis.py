@@ -26,8 +26,8 @@ from .evolution import (
     LawKind,
     CoefficientBounds,
     _exp_rate,
-    dilution_coefficient,
-    reaction_coeff,
+    clock_coefficients,
+    clock_end,
     sigma_horizon,
     sigma_of_t,
     t_of_sigma,
@@ -98,7 +98,7 @@ def threshold_integral(
     if k is LawKind.LOGISTIC:
         t_max = math.inf if math.isinf(sigma_max) else t_of_sigma(law, sigma_max)
         val, _ = quad(
-            lambda t: dilution_coefficient(law, t) ** g
+            lambda t: clock_coefficients(law, t, g, True)[1]
             * math.exp((1.0 - w) * _log_int_L(law, t)),
             0.0,
             t_max,
@@ -190,26 +190,19 @@ def bernoulli_oracle(
     Uses Euler step doubling with Richardson correction; near divergence the
     analytic tail F^(1-omega)/((omega-1) Psi) is added to the reported
     blow-up time.  The logistic law is integrated in the t clock (where its
-    coefficients are closed-form) and reported in sigma.  Serves as the
-    independent oracle for every closed-form bound.
+    coefficients are closed-form) and reported in sigma.  The coefficient
+    pair and the sigma-horizon stop are evolution.clock_coefficients and
+    clock_end, the ones the solver uses.  Serves as the independent oracle
+    for every closed-form bound.
     """
     w, g = idx.omega, idx.gamma
     in_t = law.kind is LawKind.LOGISTIC
 
-    def coeffs(clock: float) -> tuple[float, float]:
-        """(Phi, Psi) in the sigma clock, (Phi, Psi)/rho^2 = (L, L^gamma) in t."""
-        if in_t:
-            L = dilution_coefficient(law, clock)
-            return L, L**g
-        return reaction_coeff(law, clock, 1.0), reaction_coeff(law, clock, g)
-
     def rhs(clock: float, F: float) -> float:
-        phi, psi = coeffs(clock)
+        phi, psi = clock_coefficients(law, clock, g, in_t)
         return -phi * F + psi * F**w
 
-    end = sigma_max
-    if not in_t:
-        end = min(end, sigma_horizon(law) * (1.0 - 1e-9))
+    end = clock_end(law, sigma_max, in_t)
     clock, F = 0.0, float(u0_mean)
     h = dt
     rtol = 1e-8
@@ -233,7 +226,8 @@ def bernoulli_oracle(
         if err < scale / 16.0:
             h = min(2.0 * h, dt)
         if not math.isfinite(F) or F >= blowup_value:
-            tail = (F ** (1.0 - w) / ((w - 1.0) * coeffs(clock)[1])
+            psi = clock_coefficients(law, clock, g, in_t)[1]
+            tail = (F ** (1.0 - w) / ((w - 1.0) * psi)
                     if w > 1.0 and math.isfinite(F) else 0.0)
             blow = clock + tail
             break

@@ -11,6 +11,8 @@ sigma-form coefficients
 where phi(sigma) = rho(t(sigma)).  Everything below uses per-law closed
 forms; nothing differentiates rho numerically.  reaction_coeff is the one
 body of the three: phi^2 and Phi are its gamma = 0 and gamma = 1 cases.
+The solver and the Bernoulli oracle take their coefficient pair from
+clock_coefficients and their sigma-horizon stop from clock_end.
 
 exp_growth and exp_decay are one law, rho = e^(r t), with the signed rate
 r = +beta or -beta (_exp_rate); each closed form is written once in r and
@@ -218,6 +220,25 @@ def phi_squared(law: EvolutionLaw, sigma: float) -> float:
 def dissipation_coeff(law: EvolutionLaw, sigma: float) -> float:
     """Phi(sigma) = phi^2 + N*phi'/phi = rho^2(t) * L(t) at t = t(sigma)."""
     return reaction_coeff(law, sigma, 1.0)
+
+
+def clock_coefficients(
+    law: EvolutionLaw, clock: float, e: float, t_clock: bool
+) -> tuple[float, float]:
+    """(Phi, Psi_e) = (rho^2 L, rho^2 L^e) in the sigma clock, and its image
+    (L, L^e) = (Phi, Psi_e)/rho^2 in the t clock.  e = gamma is the pair of
+    the non-local equation and the Bernoulli ODE, e = 0 that of the
+    inhibitor families: (Phi, phi^2) in sigma, (L, 1) in t."""
+    if t_clock:
+        L = dilution_coefficient(law, clock)
+        return L, L**e
+    return reaction_coeff(law, clock, 1.0), reaction_coeff(law, clock, e)
+
+
+def clock_end(law: EvolutionLaw, end: float, t_clock: bool) -> float:
+    """The stop of an integration to `end`: end in t; in sigma, whose horizon
+    is t = inf, no later than a relative 1e-9 short of the horizon."""
+    return end if t_clock else min(end, sigma_horizon(law) * (1.0 - 1e-9))
 
 
 def coefficient_bounds(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +33,10 @@ class InitSpec:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("c", "delta", "lam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {name}={value}")
         if self.kind is InitKind.COSINE_PLUS and self.c <= 1.0:
             raise ValueError(f"cosine profile needs c > 1 for positivity, got c={self.c}")
         if self.kind is InitKind.CONSTANT and self.c <= 0.0:

@@ -18,10 +18,12 @@ _rhs_arrays writes the activator rate once for all four families,
 
   d Lap u - a u + b u^p / denom,    d = D1/rho^2 (rho = 1 in the sigma clock),
 
-choosing only the coefficients: a = Phi(s) in the sigma clock and L(t) in
-the t clock; b = Psi, phi^2, L^gamma or 1; denom = (avg u^r)^gamma for the
-non-local families, eta^q or v^q with an inhibitor.  The inhibitors reuse
-the same a.
+choosing only the coefficients: (a, b) is evolution.clock_coefficients in
+the family's clock, with e = gamma for the non-local families and e = 0
+with an inhibitor, so a = Phi(s) or L(t) and b = Psi, phi^2, L^gamma or 1;
+denom = (avg u^r)^gamma, eta^q or v^q.  The inhibitors reuse the same a.
+The sigma-clock families stop at evolution.clock_end.  Every weighted mean
+is _Ctx.average, a BLAS dot product (mesh.mean is a separate pairwise sum).
 
 The effective step is min(dt, h^2/(4 D_eff), relative growth clamp); the
 clamp keeps each update below ~10% of the solution scale so runs terminate
@@ -43,13 +45,13 @@ update u + dt*du is formed in du's buffer, and the t-clock families
 evaluate rho(clock) once per step.
 
 The per-run machinery (indices, quadrature weights, Laplacian, inhibitor
-solve, clock end) lives in a _Ctx.  advance() builds one per run; step()
-keeps one on the RunState and rebuilds it only when the config no longer
-equals the snapshot the context was built from, so an in-place edit of a
-RunConfig between calls takes effect, and each build re-runs the
-config's validation.  A _Ctx's Laplacian owns scratch buffers, so use one
-RunState per thread: copy.copy(state) shares the context, while
-copy.deepcopy and pickle rebuild it from its config.
+solve, coefficient exponent, clock end) lives in a _Ctx.  advance() builds
+one per run; step() keeps one on the RunState and rebuilds it only when the
+config no longer equals the snapshot the context was built from, so an
+in-place edit of a RunConfig between calls takes effect, and each build
+re-runs the config's validation.  A _Ctx's Laplacian owns scratch
+buffers, so use one RunState per thread: copy.copy(state) shares the
+context, while copy.deepcopy and pickle rebuild it from its config.
 """
 
 from __future__ import annotations
@@ -65,12 +67,9 @@ from .analysis import BlowUpReport, Verdict, detect_blowup
 from .evolution import (
     EvolutionLaw,
     LawKind,
-    dilution_coefficient,
-    dissipation_coeff,
-    phi_squared,
-    reaction_coeff,
+    clock_coefficients,
+    clock_end,
     scale_factor,
-    sigma_horizon,
     sigma_of_t,
     t_of_sigma,
 )
@@ -90,6 +89,9 @@ class SystemKind(Enum):
     @property
     def t_native(self) -> bool:
         return self in (SystemKind.NONLOCAL_T, SystemKind.FULL_RD)
+
+
+_INHIBITOR_FAMILIES = (SystemKind.SHADOW_TAU, SystemKind.FULL_RD)
 
 
 class NonPositiveStateError(RuntimeError):
@@ -120,14 +122,19 @@ class RunConfig:
         for t in self.snapshot_times:
             if not t >= 0.0:
                 raise ValueError(f"snapshot_times must be nonnegative numbers, got {t}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.end_time <= 0.0:
-            raise ValueError(f"end_time must be positive, got {self.end_time}")
+        for name in ("dt", "end_time"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError(f"dt_safety must be in (0, 1], got {self.dt_safety}")
+        for name in ("eta0", "v0"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {value}")
+        if self.system in _INHIBITOR_FAMILIES and self.params.tau <= 0.0:
+            raise ValueError(f"{self.system.value} needs tau > 0, got {self.params.tau}")
         if self.law.kind is LawKind.LOGISTIC and not self.system.t_native:
             raise ValueError("logistic evolution is integrated in t-form only")
         if self.system is SystemKind.FULL_RD and not isinstance(self.grid, RectGrid):
@@ -145,22 +152,14 @@ class TimeSeries:
     columns = ("t", "sigma", "sup_norm", "mean_u", "zeta", "w_moment", "eta_or_supv")
 
     def __init__(self) -> None:
-        self.t: list[float] = []
-        self.sigma: list[float] = []
-        self.sup_norm: list[float] = []
-        self.mean_u: list[float] = []
-        self.zeta: list[float] = []
-        self.w_moment: list[float] = []
-        self.eta_or_supv: list[float] = []
+        for name in self.columns:
+            setattr(self, name, [])
 
-    def append(self, t, sigma, sup, mean_u, zeta, w_moment, aux) -> None:
-        self.t.append(t)
-        self.sigma.append(sigma)
-        self.sup_norm.append(sup)
-        self.mean_u.append(mean_u)
-        self.zeta.append(zeta)
-        self.w_moment.append(w_moment)
-        self.eta_or_supv.append(aux)
+    def append(self, *values: float) -> None:
+        """One sample: a value for each of `columns`, in that order; a wrong
+        count raises ValueError before any column grows."""
+        for name, value in list(zip(self.columns, values, strict=True)):
+            getattr(self, name).append(value)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -168,10 +167,7 @@ class TimeSeries:
     def to_csv(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")
-            for row in zip(
-                self.t, self.sigma, self.sup_norm, self.mean_u,
-                self.zeta, self.w_moment, self.eta_or_supv,
-            ):
+            for row in zip(*(getattr(self, name) for name in self.columns)):
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
@@ -205,7 +201,7 @@ class RunState:
 
 class _Ctx:
     """Precomputed per-run machinery: weights, laplacian, inhibitor solve,
-    clock end."""
+    coefficient exponent, clock end."""
 
     def __init__(self, config: RunConfig):
         # a shallow snapshot: it re-runs RunConfig's validation, and step()
@@ -220,17 +216,23 @@ class _Ctx:
         if cfg.system is SystemKind.FULL_RD:
             # (I - nu*Lap)^-1, exact in the grid's cosine basis
             self.diffuse_inhibitor = g.resolvent_operator()
-        self.end = cfg.end_time
-        if not cfg.system.t_native:
-            # the sigma horizon is t = inf; stop within a relative tolerance of it
-            self.end = min(self.end, sigma_horizon(cfg.law) * (1.0 - 1e-9))
+        self.e = 0.0 if cfg.system in _INHIBITOR_FAMILIES else self.idx.gamma
+        self.end = clock_end(cfg.law, cfg.end_time, cfg.system.t_native)
 
     def __reduce__(self):
         # the operators are closures; a copy rebuilds them with its own buffers
         return (_Ctx, (self.cfg,))
 
+    def coefficients(self, clock: float) -> tuple[float, float]:
+        """The family's (a, b) at the clock: Phi and Psi_e, in its clock."""
+        return clock_coefficients(self.cfg.law, clock, self.e, self.cfg.system.t_native)
+
+    def average(self, u: np.ndarray, power: float) -> float:
+        """The quadrature average of u^power, the solver's one weighted mean."""
+        return float(np.dot(self.w, fast_pow(u, power).ravel()))
+
     def nonlocal_mean(self, u: np.ndarray, power: float) -> float:
-        m = float(np.dot(self.w, fast_pow(u, power).ravel()))
+        m = self.average(u, power)
         if m <= 0.0:
             raise NonPositiveStateError(f"nonlocal mean of u^{power} is {m}")
         return m
@@ -294,28 +296,22 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     gamma = ctx.idx.gamma
     if low <= 0.0:
         raise NonPositiveStateError("activator lost positivity")
-    kind, law = cfg.system, cfg.law
+    kind = cfg.system
     # the activator rate is d Lap u - a u + b u^p / denom, with d = D1/rho2
+    a, b = ctx.coefficients(clock)
     if kind is SystemKind.SHADOW_TAU:
         eta = aux
         if eta <= POSITIVITY_FLOOR:
             raise NonPositiveStateError(f"inhibitor eta nonpositive: {eta}")
-        a, b = dissipation_coeff(law, clock), phi_squared(law, clock)
         denom = eta**p.q
         daux = (-a * eta + b * ctx.nonlocal_mean(u, p.r) / eta**p.s) / p.tau
     elif kind is SystemKind.FULL_RD:
         v = aux
         if v.min() <= POSITIVITY_FLOOR:
             raise NonPositiveStateError("inhibitor v nonpositive")
-        a, b = dilution_coefficient(law, clock), 1.0
         denom = fast_pow(v, p.q)
         daux = (-a * v + fast_pow(u, p.r) / fast_pow(v, p.s)) / p.tau
     else:
-        if kind is SystemKind.NONLOCAL_SIGMA:
-            a, b = dissipation_coeff(law, clock), reaction_coeff(law, clock, gamma)
-        else:
-            a = dilution_coefficient(law, clock)
-            b = a**gamma
         denom = ctx.nonlocal_mean(u, p.r) ** gamma if gamma != 0.0 else 1.0
         daux = None
     du = (p.D1 / rho2) * ctx.laplacian(u) - a * u + b * fast_pow(u, p.p) / denom
@@ -438,17 +434,12 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     u0 = build_initial(config.init, config.grid, p=p.p)
     aux: float | np.ndarray | None = None
     if config.system is SystemKind.SHADOW_TAU:
-        if p.tau <= 0.0:
-            raise ValueError("shadow system needs tau > 0")
         if config.eta0 is not None:
             aux = float(config.eta0)
         else:
-            zr = float(np.dot(ctx.w, fast_pow(u0.values, p.r).ravel()))
-            bal = phi_squared(config.law, 0.0) / dissipation_coeff(config.law, 0.0)
-            aux = (bal * zr) ** (1.0 / (p.s + 1.0))
+            a, b = ctx.coefficients(0.0)
+            aux = (b / a * ctx.average(u0.values, p.r)) ** (1.0 / (p.s + 1.0))
     elif config.system is SystemKind.FULL_RD:
-        if p.tau <= 0.0:
-            raise ValueError("the full system needs tau > 0")
         aux = np.full(config.grid.shape, 2.0 if config.v0 is None else config.v0)
     sup0 = float(u0.values.max())
     min0 = float(u0.values.min())
@@ -469,15 +460,10 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     def sample(sup: float) -> None:
         t, sigma = _clocks(config, state.clock)
         u = state.u
-        mu = float(np.dot(ctx.w, u.ravel()))
-        zeta = float(np.dot(ctx.w, fast_pow(u, p.r).ravel()))
-        wmom = float(np.dot(ctx.w, fast_pow(u, p.r + 1.0 - p.p).ravel()))
-        if config.system is SystemKind.SHADOW_TAU:
-            a = float(state.aux)
-        elif config.system is SystemKind.FULL_RD:
-            a = float(state.aux.max())
-        else:
-            a = math.nan
+        mu = ctx.average(u, 1.0)
+        zeta = ctx.average(u, p.r)
+        wmom = ctx.average(u, p.r + 1.0 - p.p)
+        a = math.nan if state.aux is None else float(np.max(state.aux))
         series.append(t, sigma, sup, mu, zeta, wmom, a)
 
     sup, low = sup0, min0

@@ -17,6 +17,7 @@ from gmshadow import (
     sigma_of_t,
     t_of_sigma,
 )
+from gmshadow.evolution import clock_coefficients, clock_end
 
 STATIC = EvolutionLaw.static(2)
 GROWTH = EvolutionLaw.exp_growth(0.1, 2)
@@ -269,3 +270,45 @@ def test_exponential_forms_match_per_sign_formulas_bit_for_bit(law):
         assert dissipation_coeff(law, s) == f["Phi"](s)
         for g in GAMMAS:
             assert reaction_coeff(law, s, g) == f["Psi"](s, g)
+
+
+def _old_family_pairs(law, clock, g, t_clock):
+    """The (a, b) pairs the solver's families and the Bernoulli oracle each
+    wrote before clock_coefficients, keyed by the exponent e they stand for."""
+    if t_clock:
+        L = dilution_coefficient(law, clock)
+        return {0.0: (L, 1.0),                                  # full_rd
+                g: (L, L**g),                                   # nonlocal_t, oracle
+                1.0: (L, L)}
+    phi = dissipation_coeff(law, clock)
+    return {0.0: (phi, phi_squared(law, clock)),                # shadow_tau
+            g: (phi, reaction_coeff(law, clock, g)),            # nonlocal_sigma, oracle
+            1.0: (reaction_coeff(law, clock, 1.0), phi)}
+
+
+CLOCK_LAWS = ALL + EXP_LAWS[1:3] + EXP_LAWS[4:]
+
+
+@pytest.mark.parametrize("law", CLOCK_LAWS,
+                         ids=lambda l: f"{l.kind.value}-{l.beta}-N{l.dimension}")
+def test_clock_coefficients_match_per_family_pairs_bit_for_bit(law):
+    rng = np.random.default_rng(7)
+    top = min(sigma_horizon(law), 20.0)
+    clocks = {False: [0.0, 0.3311, *rng.uniform(0.0, top, 20)],
+              True: [0.0, 0.3311, 7.5, *rng.uniform(0.0, 20.0, 20)]}
+    for t_clock, values in clocks.items():
+        for clock in map(float, values):
+            for g in GAMMAS:
+                for e, pair in _old_family_pairs(law, clock, g, t_clock).items():
+                    assert clock_coefficients(law, clock, e, t_clock) == pair
+
+
+@pytest.mark.parametrize("law", CLOCK_LAWS,
+                         ids=lambda l: f"{l.kind.value}-{l.beta}-N{l.dimension}")
+def test_clock_end_matches_the_per_module_stops_bit_for_bit(law):
+    horizon = sigma_horizon(law)
+    for end in [1e-3, 0.3, 1.0, 4.9999, 5.0, 20.0, 50.0, math.inf]:
+        assert clock_end(law, end, True) == end
+        assert clock_end(law, end, False) == min(end, horizon * (1.0 - 1e-9))
+    if math.isfinite(horizon):
+        assert clock_end(law, math.inf, False) < horizon

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ def test_cosine_profile():
 def test_cosine_requires_offset_above_one():
     with pytest.raises(ValueError):
         InitSpec(InitKind.COSINE_PLUS, c=1.0)
+
+
+@pytest.mark.parametrize("kind,name", [
+    (InitKind.COSINE_PLUS, "c"), (InitKind.CONSTANT, "c"), (InitKind.SPIKY, "lam"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_profile_rejects_a_non_finite_value(kind, name, value):
+    # nan used to pass to advance() and end NON_FINITE after one sample
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        InitSpec(kind, **{name: value})
 
 
 def test_constant_profile():

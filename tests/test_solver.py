@@ -17,6 +17,7 @@ from gmshadow import (
     RectGrid,
     RunConfig,
     SystemKind,
+    TimeSeries,
     Verdict,
     advance,
     derive_indices,
@@ -493,6 +494,52 @@ def test_config_rejects_nan():
         with pytest.raises(ValueError, match=f"{name} must be a number"):
             small_cfg(**{name: math.nan})
     small_cfg(blowup_threshold=math.inf)  # a run may be left to overflow
+
+
+@pytest.mark.parametrize("system", [SystemKind.SHADOW_TAU, SystemKind.FULL_RD],
+                         ids=lambda k: k.value)
+def test_inhibitor_families_need_positive_tau_at_construction(system):
+    # tau = 0 used to reach step() as a ZeroDivisionError (shadow_tau) or a
+    # NON_FINITE run after 0 steps (full_rd); advance() alone checked it
+    with pytest.raises(ValueError, match=f"{system.value} needs tau > 0, got 0.0"):
+        small_cfg(system=system, params=TABLE1)
+    small_cfg(system=system, params=TAU)
+    small_cfg(system=SystemKind.NONLOCAL_T, params=TABLE1)  # no inhibitor, no tau
+
+
+@pytest.mark.parametrize("name", ["eta0", "v0"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, 0.0, math.inf],
+                         ids=["nan", "negative", "zero", "inf"])
+def test_config_rejects_a_bad_initial_inhibitor(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+        small_cfg(system=SystemKind.SHADOW_TAU, params=TAU, **{name: value})
+    with pytest.raises(ValueError, match=name):
+        small_cfg(**{name: value})  # checked also where the family ignores it
+
+
+def test_config_keeps_unused_initial_inhibitor_keys():
+    # None picks the default; a family that has no use for a key accepts it
+    small_cfg(system=SystemKind.SHADOW_TAU, params=TAU, eta0=None, v0=None)
+    small_cfg(system=SystemKind.SHADOW_TAU, params=TAU, eta0=0.7, v0=1.5)
+
+
+def test_time_series_columns_drive_append_and_csv(tmp_path):
+    series = TimeSeries()
+    series.append(0.0, 0.0, 3.0, 2.0, 2.5, 1.0 / 3.0, math.nan)
+    series.append(0.1, 0.09, 3.5, 2.1, 2.6, 0.3, 1e-300)
+    assert len(series) == 2
+    assert series.w_moment == [1.0 / 3.0, 0.3]
+    assert series.eta_or_supv[1] == 1e-300
+    with pytest.raises(ValueError):
+        series.append(0.2, 0.18, 4.0)  # one value per column
+    assert all(len(getattr(series, name)) == 2 for name in series.columns)
+    path = tmp_path / "series.csv"
+    series.to_csv(str(path))
+    assert path.read_text() == (
+        "t,sigma,sup_norm,mean_u,zeta,w_moment,eta_or_supv\n"
+        "0.0,0.0,3.0,2.0,2.5,0.3333333333333333,nan\n"
+        "0.1,0.09,3.5,2.1,2.6,0.3,1e-300\n"
+    )
 
 
 @pytest.mark.parametrize("times", [(-0.1,), (math.nan,), (0.1, -1e-9)],
