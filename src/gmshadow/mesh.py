@@ -69,31 +69,48 @@ class RectGrid:
     def laplacian_operator(self) -> Stencil:
         """5-point Laplacian on (ny, nx) arrays, Neumann by ghost-node reflection.
 
-        The operator owns a ghost-framed buffer and a scratch array that
-        every call overwrites, so one operator must not be called from two
-        threads at once.  Each call returns a fresh array.
+        The ghost-framed copy of u lives in one flat buffer with row stride
+        nx+2, so the four neighbours of every node in the ny interior rows
+        are 1-D views shifted by +-1 and +-(nx+2).  The stencil runs over
+        those contiguous views, ghost columns included (on 128x128 a pass
+        takes about a third of its time on strided 2-D slices), and the
+        interior is copied out.  The buffer is zeroed at build, so the never-written
+        corners keep the ghost-column results finite.
+
+        The operator owns the buffer and two scratch arrays that every call
+        overwrites, so one operator must not be called from two threads at
+        once.  Each call returns a fresh array.
         """
+        nx, ny = self.nx, self.ny
         hx2, hy2 = self.hx**2, self.hy**2
-        e = np.empty((self.ny + 2, self.nx + 2))
-        two_u = np.empty(self.shape)
+        s = nx + 2
+        n = ny * s
+        flat = np.zeros((ny + 2) * s)
+        e = flat.reshape(ny + 2, s)
+        centre = flat[s : s + n]
+        east, west = flat[s + 1 : s + 1 + n], flat[s - 1 : s - 1 + n]
+        north, south = flat[2 * s : 2 * s + n], flat[:n]
+        two_u = np.empty(n)
+        acc = np.empty(n)
+        interior = acc.reshape(ny, s)[:, 1:-1]
 
         def lap(u: np.ndarray) -> np.ndarray:
-            # mirror across the boundary nodes; the corners are never read
+            # mirror across the boundary nodes; the corners are never written
             e[1:-1, 1:-1] = u
             e[1:-1, 0] = u[:, 1]
             e[1:-1, -1] = u[:, -2]
             e[0, 1:-1] = u[1]
             e[-1, 1:-1] = u[-2]
-            np.multiply(u, 2.0, out=two_u)
+            np.multiply(centre, 2.0, out=two_u)
             # ((E - 2u) + W)/hx2 + ((N - 2u) + S)/hy2, element by element
-            out = np.subtract(e[1:-1, 2:], two_u)
-            out += e[1:-1, :-2]
-            out /= hx2
-            np.subtract(e[2:, 1:-1], two_u, out=two_u)
-            np.add(two_u, e[:-2, 1:-1], out=two_u)
+            np.subtract(east, two_u, out=acc)
+            np.add(acc, west, out=acc)
+            np.divide(acc, hx2, out=acc)
+            np.subtract(north, two_u, out=two_u)
+            np.add(two_u, south, out=two_u)
             np.divide(two_u, hy2, out=two_u)
-            out += two_u
-            return out
+            np.add(acc, two_u, out=acc)
+            return interior.copy()
 
         return lap
 

@@ -22,8 +22,12 @@ choosing only the coefficients: (a, b) is evolution.clock_coefficients in
 the family's clock, with e = gamma for the non-local families and e = 0
 with an inhibitor, so a = Phi(s) or L(t) and b = Psi, phi^2, L^gamma or 1;
 denom = (avg u^r)^gamma, eta^q or v^q.  The inhibitors reuse the same a.
-The sigma-clock families stop at evolution.clock_end.  Every weighted mean
-is _Ctx.average, a BLAS dot product (mesh.mean is a separate pairwise sum).
+The rate is formed in the Laplacian's fresh output array, in that order,
+and a multiply or divide by a coefficient equal to 1.0 is skipped.  The
+sigma-clock families stop at evolution.clock_end.  Every weighted mean is
+_Ctx.average: BLAS dot products over blocks of at most 8,192 entries,
+summed left to right, so no dot is split across BLAS threads and the mean
+is the same at every thread count (mesh.mean is a separate pairwise sum).
 
 The effective step is min(dt, h^2/(4 D_eff), relative growth clamp); the
 clamp keeps each update below ~10% of the solution scale so runs terminate
@@ -39,8 +43,11 @@ nodes the DCT-I is an FFT of length 2(N-1) = 254, and its prime factor
 Each step reduces every array once: the max and min of the new u (which
 also serve as its finiteness test, and which advance() carries into the
 next step's verdict check, positivity check and dt selection and into its
-own sample trigger), and the max of |du| and of u/|du| for dt.  FULL_RD
-adds the max and min of v and the same two dt reductions on v.  The
+own sample trigger), and the max and min of du, which give max |du| for
+dt.  The positivity guard min(u/|du|) is bounded below by min u/max |du|;
+when that bound already allows dt, the guard cannot bind and is skipped,
+and otherwise it adds one reduction.  FULL_RD adds the max and min of v
+and the same dt reductions on v, whose guard is always taken.  The
 update u + dt*du is formed in du's buffer, and the t-clock families
 evaluate rho(clock) once per step.
 
@@ -78,6 +85,13 @@ from .mesh import Field, Grid, RadialGrid, RectGrid
 from .params import Parameters, derive_indices
 
 POSITIVITY_FLOOR = 1e-12
+
+# _Ctx.average's block length.  OpenBLAS splits a dot product over more
+# than 10,000 entries across its thread pool, so the sum would depend on the
+# thread count, and handing a 16,384-entry dot to a second thread can cost
+# far more than the dot itself.  A block of 8,192 stays on the calling
+# thread; on 128x128 the two blocks add up to what two threads compute.
+_DOT_BLOCK = 8192
 
 
 class SystemKind(Enum):
@@ -211,6 +225,7 @@ class _Ctx:
         g = cfg.grid
         self.w = g.quad_weights().ravel()
         self.laplacian = g.laplacian_operator()
+        self.scratch = np.empty(g.shape)  # a*u, then b*u^p/denom when u^p is u
         self.pin_outer = isinstance(g, RadialGrid) and g.outer_bc == "dirichlet"
         self.h2 = g.h_min**2
         if cfg.system is SystemKind.FULL_RD:
@@ -228,8 +243,14 @@ class _Ctx:
         return clock_coefficients(self.cfg.law, clock, self.e, self.cfg.system.t_native)
 
     def average(self, u: np.ndarray, power: float) -> float:
-        """The quadrature average of u^power, the solver's one weighted mean."""
-        return float(np.dot(self.w, fast_pow(u, power).ravel()))
+        """The quadrature average of u^power, the solver's one weighted mean:
+        dot products over blocks of _DOT_BLOCK entries, summed left to right
+        (a single np.dot when u has at most _DOT_BLOCK entries)."""
+        w, x = self.w, fast_pow(u, power).ravel()
+        m = float(np.dot(w[:_DOT_BLOCK], x[:_DOT_BLOCK]))
+        for i in range(_DOT_BLOCK, w.size, _DOT_BLOCK):
+            m += float(np.dot(w[i : i + _DOT_BLOCK], x[i : i + _DOT_BLOCK]))
+        return m
 
     def nonlocal_mean(self, u: np.ndarray, power: float) -> float:
         m = self.average(u, power)
@@ -314,30 +335,56 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     else:
         denom = ctx.nonlocal_mean(u, p.r) ** gamma if gamma != 0.0 else 1.0
         daux = None
-    du = (p.D1 / rho2) * ctx.laplacian(u) - a * u + b * fast_pow(u, p.p) / denom
+    # formed in the Laplacian's fresh output in the order of
+    # ((d*Lap u) - a*u) + ((b*u^p)/denom), skipping the exact identities
+    # x*1.0 and x/1.0; u^p is u itself when p = 1, so it is never scaled in place
+    du = ctx.laplacian(u)
+    d = p.D1 / rho2
+    if d != 1.0:
+        du *= d
+    du -= np.multiply(u, a, out=ctx.scratch)
+    up = fast_pow(u, p.p)
+    out = ctx.scratch if up is u else up
+    if b != 1.0:
+        up = np.multiply(up, b, out=out)
+    if isinstance(denom, np.ndarray) or denom != 1.0:
+        up = np.divide(up, denom, out=out)
+    du += up
     return du, daux
 
 
-def _field_dt_limit(dt: float, vals, sup: float, dvals) -> float:
+def _field_dt_limit(dt: float, vals, sup: float, low: float, dvals) -> float:
     """dt limited by the relative growth clamp and the positivity guard, which
-    keeps a positive explicit-Euler update of vals (maximum sup) comfortably
-    positive.  |dvals| is taken once and its buffer reused."""
+    keeps a positive explicit-Euler update of vals (maximum sup, any lower
+    bound low) comfortably positive.
+
+    max |dvals| is taken as the larger of max dvals and -min dvals (NaN
+    when any entry is).  The guard min(vals/(|dvals| + 1e-300)) is at least
+    low/(max |dvals| + 1e-300), as rounding is monotone, so when that bound
+    already allows dt the guard cannot bind and its four passes are skipped.
+    """
+    mx = max(float(dvals.max()), -float(dvals.min()))
+    dt = min(dt, 0.1 * (1.0 + sup) / (1.0 + mx))
+    if 0.45 * (low / (mx + 1e-300)) >= dt:
+        return dt
     mag = np.abs(dvals)
-    dt = min(dt, 0.1 * (1.0 + sup) / (1.0 + float(mag.max())))
     mag += 1e-300
     np.divide(vals, mag, out=mag)
     return min(dt, 0.45 * float(mag.min()))
 
 
-def _dt_effective(ctx: _Ctx, u, sup: float, du, aux, daux, rho2: float) -> float:
+def _dt_effective(
+    ctx: _Ctx, u, sup: float, low: float, du, aux, daux, rho2: float
+) -> float:
     cfg = ctx.cfg
     d_eff = cfg.params.D1 / rho2
     dt = min(cfg.dt, ctx.h2 / (4.0 * d_eff))
-    dt = _field_dt_limit(dt, u, sup, du)
+    dt = _field_dt_limit(dt, u, sup, low, du)
     if cfg.system is SystemKind.SHADOW_TAU:
         dt = min(dt, 0.45 * aux / (abs(daux) + 1e-300))
     elif cfg.system is SystemKind.FULL_RD:
-        dt = _field_dt_limit(dt, aux, float(aux.max()), daux)
+        # v's minimum is not carried; the bound 0.0 leaves the full guard to decide
+        dt = _field_dt_limit(dt, aux, float(aux.max()), 0.0, daux)
     return dt * cfg.dt_safety
 
 
@@ -384,7 +431,7 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     except NonPositiveStateError:
         state.verdict = Verdict.NON_FINITE
         return sup, low
-    dt = _dt_effective(ctx, u, sup, du, aux, daux, rho2)
+    dt = _dt_effective(ctx, u, sup, low, du, aux, daux, rho2)
     dt = min(dt, end - clock)
     if not math.isfinite(dt) or dt <= 0.0:
         state.verdict = Verdict.NON_FINITE

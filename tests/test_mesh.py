@@ -53,6 +53,22 @@ def test_rect_laplacian_matches_reflect_pad_formula():
     assert np.array_equal(g.laplacian_operator()(u), ref)
 
 
+@pytest.mark.parametrize("nx, ny", [(3, 3), (3, 7), (8, 5), (128, 128)])
+def test_rect_laplacian_matches_reflect_pad_formula_on_every_shape(nx, ny):
+    # the flat ghost buffer's shifted views, down to one interior column
+    g = RectGrid(nx, ny)
+    lap = g.laplacian_operator()
+    rng = np.random.default_rng(nx * ny)
+    for _ in range(2):  # the second call runs on a buffer the first wrote
+        u = rng.uniform(0.1, 5.0, g.shape)
+        e = np.pad(u, 1, mode="reflect")
+        ref = (e[1:-1, 2:] - 2.0 * u + e[1:-1, :-2]) / g.hx**2
+        ref += (e[2:, 1:-1] - 2.0 * u + e[:-2, 1:-1]) / g.hy**2
+        out = lap(u)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, ref)
+
+
 def test_rect_laplacian_results_do_not_alias():
     g = RectGrid(14, 11)
     lap = g.laplacian_operator()

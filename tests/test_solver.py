@@ -1,12 +1,17 @@
 import copy
 import dataclasses
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmshadow
 from gmshadow import (
     EvolutionLaw,
     Field,
@@ -142,6 +147,9 @@ def _per_family_rates(cfg, u, aux, clock):
 LOGISTIC = EvolutionLaw.logistic(0.1, 1.5, 2)
 KINETICS = Parameters(p=3, q=2, r=1, s=2, D1=0.37, D2=1.3, tau=0.05)
 UNINHIBITED = Parameters(p=2.5, q=0, r=1.5, s=1, D1=0.37)  # gamma = 0
+# p = 1: fast_pow(u, 1.0) is u itself, which the rate must never scale in place
+LINEAR = Parameters(p=1, q=3, r=1.5, s=1, D1=0.37, D2=1.3, tau=0.05)  # gamma = 1.5
+UNIT = Parameters(p=1, q=0, r=1.5, s=1)  # D1 = 1, gamma = 0: d = b = denom = 1
 
 
 @pytest.mark.parametrize("system, law, params", [
@@ -154,6 +162,10 @@ UNINHIBITED = Parameters(p=2.5, q=0, r=1.5, s=1, D1=0.37)  # gamma = 0
     (SystemKind.NONLOCAL_T, LOGISTIC, UNINHIBITED),
     (SystemKind.FULL_RD, GROWTH, KINETICS),
     (SystemKind.FULL_RD, LOGISTIC, KINETICS),
+    (SystemKind.NONLOCAL_SIGMA, GROWTH, LINEAR),
+    (SystemKind.SHADOW_TAU, DECAY, LINEAR),
+    (SystemKind.NONLOCAL_T, STATIC, UNIT),
+    (SystemKind.FULL_RD, GROWTH, LINEAR),
 ], ids=lambda v: (v.value if isinstance(v, SystemKind)
                   else v.kind.value if isinstance(v, EvolutionLaw)
                   else f"gamma{derive_indices(v).gamma:.3g}"))
@@ -772,3 +784,63 @@ def test_step_and_rhs_reject_a_state_that_does_not_fit(
     assert state.steps == 0 and state.verdict is None
     with pytest.raises(ValueError, match=rhs_message or step_message):
         rhs(cfg, const_field(grid, 2.0), aux, 0.0)
+
+
+# ------------------------------------------------- the mean and the rate
+
+_PRINT_EXP1_AVERAGES = """
+from gmshadow import cli, solver
+from gmshadow.initdata import build_initial
+cfg = cli.PRESETS["exp1"]()["static"]
+u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p).values
+ctx = solver._Ctx(cfg)
+print([repr(ctx.average(u0, e)) for e in (1.0, 3.0, -1.0)])
+"""
+
+
+def test_average_does_not_depend_on_the_blas_thread_count():
+    # the solver's mean of the 128x128 exp1/static field; OpenBLAS reads its
+    # thread count when numpy loads, so each count gets a fresh process
+    src = str(Path(gmshadow.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _PRINT_EXP1_AVERAGES], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        printed.append(done.stdout)
+    assert printed[0] == printed[1]
+
+
+@pytest.mark.parametrize("grid", [RectGrid(14, 11), RectGrid(90, 91), RectGrid(64, 128),
+                                  RadialGrid(3, 512)], ids=str)
+def test_average_is_one_dot_product_up_to_the_block_size(grid):
+    # at most 8,192 entries: exactly the single np.dot the mean always was
+    cfg = small_cfg(grid=grid, law=EvolutionLaw.static(2 if isinstance(grid, RectGrid) else 3))
+    u = np.random.default_rng(10).uniform(0.5, 3.0, grid.shape)
+    w = grid.quad_weights().ravel()
+    ctx = solver._Ctx(cfg)
+    for e in (1.0, 3.0, -1.0, 1.4):
+        assert ctx.average(u, e) == float(np.dot(w, fast_pow(u, e).ravel()))
+
+
+@pytest.mark.parametrize("system, params", [
+    (SystemKind.NONLOCAL_SIGMA, LINEAR),
+    (SystemKind.SHADOW_TAU, LINEAR),
+    (SystemKind.NONLOCAL_T, UNIT),
+    (SystemKind.FULL_RD, LINEAR),
+    (SystemKind.NONLOCAL_SIGMA, Parameters(p=0, q=2, r=1, s=2, D1=0.37)),
+    (SystemKind.FULL_RD, Parameters(p=0, q=1, r=1, s=2, D1=0.37, tau=0.05)),
+], ids=lambda v: v.value if isinstance(v, SystemKind) else f"p{v.p:g}")
+def test_rhs_and_step_leave_the_callers_u_unchanged(system, params):
+    cfg = small_cfg(system=system, params=params, law=GROWTH, grid=RectGrid(14, 11),
+                    eta0=1.7, v0=1.3)
+    u = np.random.default_rng(11).uniform(0.5, 3.0, cfg.grid.shape)
+    aux = {SystemKind.SHADOW_TAU: 1.7,
+           SystemKind.FULL_RD: np.full(cfg.grid.shape, 1.3)}.get(system)
+    before = u.copy()
+    rhs(cfg, Field(cfg.grid, u), aux, 0.37)
+    assert np.array_equal(u, before)
+    state = RunState(u=u, aux=aux, clock=0.0)
+    step(cfg, state)
+    assert state.steps == 1 and state.u is not u
+    assert np.array_equal(u, before)
