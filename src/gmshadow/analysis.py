@@ -9,6 +9,10 @@ The central object is the Bernoulli comparison ODE
 
 whose solution lower-bounds the evolving mean whenever p >= r (Jensen).
 Its explicit blow-up time upper-bounds the PDE blow-up time.
+
+threshold_integral's logistic branch is one of the package's two scipy
+users (a quadrature); the other is evolution.t_of_sigma.  Each imports
+scipy where it is called, so the static and exponential laws never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .evolution import (
     EvolutionLaw,
@@ -97,6 +100,9 @@ def threshold_integral(
         return (1.0 - math.exp((1.0 - w) * sigma_max)) / (w - 1.0)
     if k is LawKind.LOGISTIC:
         t_max = math.inf if math.isinf(sigma_max) else t_of_sigma(law, sigma_max)
+        # imported here so that `import gmshadow` does not load scipy
+        from scipy.integrate import quad
+
         val, _ = quad(
             lambda t: clock_coefficients(law, t, g, True)[1]
             * math.exp((1.0 - w) * _log_int_L(law, t)),

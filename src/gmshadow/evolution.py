@@ -19,6 +19,10 @@ r = +beta or -beta (_exp_rate); each closed form is written once in r and
 rounds to the same bits as the two per-sign forms.  sigma_of_t alone keeps
 two branches: 1 - exp(-2 beta t) and expm1(2 beta t) are not the same
 floating-point value.
+
+t_of_sigma's logistic branch is one of the package's two scipy users (a
+root-find); the other is analysis.threshold_integral.  Each imports scipy
+where it is called, so the static and exponential laws never load it.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-from scipy.optimize import brentq
 
 
 class LawKind(Enum):
@@ -179,6 +181,9 @@ def t_of_sigma(law: EvolutionLaw, sigma: float) -> float:
         hi = 1.0
         while sigma_of_t(law, hi) < sigma:
             hi *= 2.0
+        # imported here so that `import gmshadow` does not load scipy
+        from scipy.optimize import brentq
+
         return brentq(
             lambda t: sigma_of_t(law, t) - sigma, 0.0, hi, xtol=1e-14, rtol=8.9e-16
         )

@@ -47,7 +47,8 @@ own sample trigger), and the max and min of du, which give max |du| for
 dt.  The positivity guard min(u/|du|) is bounded below by min u/max |du|;
 when that bound already allows dt, the guard cannot bind and is skipped,
 and otherwise it adds one reduction.  FULL_RD adds the max and min of v
-and the same dt reductions on v, whose guard is always taken.  The
+(the min serves both v's positivity check and the lower bound of its
+guard) and the same dt reductions on v.  The
 update u + dt*du is formed in du's buffer, and the t-clock families
 evaluate rho(clock) once per step.
 
@@ -151,6 +152,13 @@ class RunConfig:
             raise ValueError(f"{self.system.value} needs tau > 0, got {self.params.tau}")
         if self.law.kind is LawKind.LOGISTIC and not self.system.t_native:
             raise ValueError("logistic evolution is integrated in t-form only")
+        if math.isinf(clock_end(self.law, self.end_time, self.system.t_native)):
+            clock = "t" if self.system.t_native else "sigma"
+            raise ValueError(
+                f"end_time={self.end_time} never ends a {clock}-clock run under "
+                f"{self.law.kind.value}; only a sigma-clock exp_growth run stops "
+                "at its horizon"
+            )
         if self.system is SystemKind.FULL_RD and not isinstance(self.grid, RectGrid):
             raise ValueError("the full two-species system runs on the rectangle grid")
         grid_dim = 2 if isinstance(self.grid, RectGrid) else self.grid.dim
@@ -286,7 +294,7 @@ def rhs(
         raise ValueError(f"u is on {u.grid}, the config on {config.grid}")
     _check_state(config, u.values, aux)
     ctx = _Ctx(config)
-    du, daux = _rhs_arrays(
+    du, daux, _ = _rhs_arrays(
         ctx, u.values, aux, clock, float(u.values.min()), _rho_squared(config, clock)
     )
     return Field(u.grid, du), daux
@@ -311,10 +319,12 @@ def _check_state(cfg: RunConfig, u: np.ndarray, aux) -> None:
 
 def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     """Rates of the family at u, whose minimum `low` and the clock's
-    _rho_squared `rho2` the caller supplies."""
+    _rho_squared `rho2` the caller supplies, and the minimum of FULL_RD's
+    v (None for the other families)."""
     cfg = ctx.cfg
     p = cfg.params
     gamma = ctx.idx.gamma
+    v_low = None
     if low <= 0.0:
         raise NonPositiveStateError("activator lost positivity")
     kind = cfg.system
@@ -328,7 +338,8 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
         daux = (-a * eta + b * ctx.nonlocal_mean(u, p.r) / eta**p.s) / p.tau
     elif kind is SystemKind.FULL_RD:
         v = aux
-        if v.min() <= POSITIVITY_FLOOR:
+        v_low = float(v.min())
+        if v_low <= POSITIVITY_FLOOR:
             raise NonPositiveStateError("inhibitor v nonpositive")
         denom = fast_pow(v, p.q)
         daux = (-a * v + fast_pow(u, p.r) / fast_pow(v, p.s)) / p.tau
@@ -350,7 +361,7 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     if isinstance(denom, np.ndarray) or denom != 1.0:
         up = np.divide(up, denom, out=out)
     du += up
-    return du, daux
+    return du, daux, v_low
 
 
 def _field_dt_limit(dt: float, vals, sup: float, low: float, dvals) -> float:
@@ -374,7 +385,8 @@ def _field_dt_limit(dt: float, vals, sup: float, low: float, dvals) -> float:
 
 
 def _dt_effective(
-    ctx: _Ctx, u, sup: float, low: float, du, aux, daux, rho2: float
+    ctx: _Ctx, u, sup: float, low: float, du, aux, daux, rho2: float,
+    v_low: float | None,
 ) -> float:
     cfg = ctx.cfg
     d_eff = cfg.params.D1 / rho2
@@ -383,8 +395,7 @@ def _dt_effective(
     if cfg.system is SystemKind.SHADOW_TAU:
         dt = min(dt, 0.45 * aux / (abs(daux) + 1e-300))
     elif cfg.system is SystemKind.FULL_RD:
-        # v's minimum is not carried; the bound 0.0 leaves the full guard to decide
-        dt = _field_dt_limit(dt, aux, float(aux.max()), 0.0, daux)
+        dt = _field_dt_limit(dt, aux, float(aux.max()), v_low, daux)
     return dt * cfg.dt_safety
 
 
@@ -427,11 +438,11 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
         return sup, low
     rho2 = _rho_squared(cfg, clock)
     try:
-        du, daux = _rhs_arrays(ctx, u, aux, clock, low, rho2)
+        du, daux, v_low = _rhs_arrays(ctx, u, aux, clock, low, rho2)
     except NonPositiveStateError:
         state.verdict = Verdict.NON_FINITE
         return sup, low
-    dt = _dt_effective(ctx, u, sup, low, du, aux, daux, rho2)
+    dt = _dt_effective(ctx, u, sup, low, du, aux, daux, rho2, v_low)
     dt = min(dt, end - clock)
     if not math.isfinite(dt) or dt <= 0.0:
         state.verdict = Verdict.NON_FINITE

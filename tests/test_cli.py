@@ -213,6 +213,13 @@ def test_cli_run_config_exit_code(tmp_path, capsys):
     assert "verdict=HorizonReached" in capsys.readouterr().out
 
 
+def test_cli_run_preset_to_end_time_inf_is_an_error(tmp_path, capsys):
+    rc = main(["run", "exp2a", "--end-time", "inf", "--outdir", str(tmp_path / "r")])
+    assert rc == 2
+    assert "error: end_time=inf never ends" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_run_unknown_preset(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "missing.ini")])
     assert rc == 2

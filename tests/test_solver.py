@@ -36,6 +36,7 @@ from gmshadow import (
     step,
 )
 from gmshadow import solver
+from gmshadow.evolution import clock_end
 from gmshadow.initdata import build_initial
 from gmshadow.solver import RunState, fast_pow
 
@@ -552,6 +553,28 @@ def test_time_series_columns_drive_append_and_csv(tmp_path):
         "0.0,0.0,3.0,2.0,2.5,0.3333333333333333,nan\n"
         "0.1,0.09,3.5,2.1,2.6,0.3,1e-300\n"
     )
+
+
+@pytest.mark.parametrize("system, law", [
+    *[(system, law) for system in (SystemKind.NONLOCAL_T, SystemKind.FULL_RD)
+      for law in (STATIC, GROWTH, DECAY, LOGISTIC)],
+    *[(system, law) for system in (SystemKind.NONLOCAL_SIGMA, SystemKind.SHADOW_TAU)
+      for law in (STATIC, DECAY)],
+], ids=lambda x: x.value if isinstance(x, SystemKind) else x.kind.value)
+def test_config_rejects_an_end_time_that_never_ends(system, law):
+    # a bounded run to end_time = inf used to step forever without a verdict
+    with pytest.raises(ValueError, match="end_time=inf never ends"):
+        small_cfg(system=system, params=TAU, law=law, end_time=math.inf)
+    small_cfg(system=system, params=TAU, law=law, end_time=1e9)
+
+
+def test_sigma_clock_exp_growth_to_end_time_inf_stops_at_the_horizon():
+    small_cfg(system=SystemKind.SHADOW_TAU, params=TAU, law=GROWTH, end_time=math.inf)
+    cfg = small_cfg(law=GROWTH, end_time=math.inf, init=InitSpec(InitKind.CONSTANT, c=0.5),
+                    dt=0.05, quench_threshold=1e-300)
+    series, report, _ = advance(cfg)
+    assert report.verdict is Verdict.HORIZON_REACHED
+    assert series.sigma[-1] == clock_end(GROWTH, math.inf, False) < 1.0 / (2.0 * GROWTH.beta)
 
 
 @pytest.mark.parametrize("times", [(-0.1,), (math.nan,), (0.1, -1e-9)],
