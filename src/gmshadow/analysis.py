@@ -296,44 +296,47 @@ def detect_blowup(
 ) -> BlowUpReport:
     """Classify a sampled sup-norm series and refine the blow-up time.
 
-    BlowUp: first sample at or above threshold is the event; the last
-    fit_samples (>= 5 required) pre-threshold samples are fitted with
-    sup^-(p-1) linear in sigma, whose root is the extrapolated blow-up.
-    Quench: sup fell to the floor.  Bounded otherwise.
+    BlowUp: first sample at or above threshold is the event, refined by
+    _refine_blowup over the samples before it.  Quench: the first sample
+    at or below the floor is the event.  Bounded otherwise.
     """
     sup = np.asarray(series.sup_norm, dtype=float)
-    sig = np.asarray(series.sigma, dtype=float)
-    tt = np.asarray(series.t, dtype=float)
     above = np.nonzero(sup >= threshold)[0]
+    verdict = Verdict.BLOW_UP
     if above.size == 0:
-        below = np.nonzero(sup <= quench_floor)[0]
-        if below.size:
-            i = int(below[0])
-            return BlowUpReport(Verdict.QUENCH, tt[i], sig[i])
-        return BlowUpReport(Verdict.BOUNDED)
+        above = np.nonzero(sup <= quench_floor)[0]
+        verdict = Verdict.QUENCH
+        if above.size == 0:
+            return BlowUpReport(Verdict.BOUNDED)
     i = int(above[0])
-    rep = BlowUpReport(Verdict.BLOW_UP, float(tt[i]), float(sig[i]))
-    pre = np.nonzero(sup[:i] < threshold)[0]
-    if pre.size < 5:
-        return rep
-    fitted = _linearized_root(sig, sup, pre, p, fit_samples)
-    if fitted is None:
-        return rep
-    root, err = fitted
-    rep.extrapolated_sigma = root
-    rep.extrapolated_sigma_err = err
-    rep.fitted_rate_exponent = fit_rate(series, root, sigma_star_err=err)
+    rep = BlowUpReport(verdict, float(series.t[i]), float(series.sigma[i]))
+    if verdict is Verdict.BLOW_UP:
+        _refine_blowup(rep, series, p, i, fit_samples)
     return rep
 
 
-def _linearized_root(sig, sup, pre, p, fit_samples):
+def _refine_blowup(rep: BlowUpReport, series, p: float, i: int, fit_samples: int = 8) -> None:
+    """Fill rep's extrapolation and rate from the non-NaN samples before index
+    i, the event: the last fit_samples (>= 5 required) are fitted with
+    sup^-(p-1) linear in sigma, whose root is the extrapolated blow-up."""
+    sup = np.asarray(series.sup_norm[:i], dtype=float)
+    keep = ~np.isnan(sup)
+    if np.count_nonzero(keep) < 5:
+        return
+    sig = np.asarray(series.sigma[:i], dtype=float)[keep]
+    fitted = _linearized_root(sig, sup[keep], p, fit_samples)
+    if fitted is not None:
+        rep.extrapolated_sigma, rep.extrapolated_sigma_err = fitted
+        rep.fitted_rate_exponent = fit_rate(series, fitted[0], sigma_star_err=fitted[1])
+
+
+def _linearized_root(sig, sup, p, fit_samples):
     """Zero crossing of sup^-(p-1) vs sigma over the last pre-threshold
     samples, widening the window when the trailing samples are too tightly
     clustered in sigma for a stable fit."""
-    for k in (fit_samples, 4 * fit_samples, 16 * fit_samples, pre.size):
-        take = pre[-k:]
-        x = sig[take]
-        y = sup[take] ** (-(p - 1.0))
+    for k in (fit_samples, 4 * fit_samples, 16 * fit_samples, sup.size):
+        x = sig[-k:]
+        y = sup[-k:] ** (-(p - 1.0))
         if np.ptp(x) <= 0.0:
             continue
         try:

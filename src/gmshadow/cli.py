@@ -354,21 +354,21 @@ def run_one(cfg: RunConfig, outdir: str) -> Verdict:
 
 
 def _run(cfg: RunConfig, outdir: str) -> BlowUpReport:
-    """run_one, returning the whole report."""
+    """run_one, returning the whole report; writes nothing when advance()
+    rejects the config."""
+    series, report, snapshots = advance(cfg)
     os.makedirs(outdir, exist_ok=True)
     echo = render_config(cfg)
     with open(os.path.join(outdir, "config.ini"), "w") as fh:
         fh.write(echo)
-    series, report, snapshots = advance(cfg)
     series.to_csv(os.path.join(outdir, "series.csv"))
     for label, snap in snapshots.items():
         write_field_csv(snap, os.path.join(outdir, f"snapshot_{label}.csv"))
     lines = [f"verdict={report.verdict.value}"]
-    for key in ("event_time_t", "event_time_sigma", "extrapolated_sigma",
-                "extrapolated_sigma_err", "fitted_rate_exponent"):
-        val = getattr(report, key)
+    for f in fields(BlowUpReport)[1:]:
+        val = getattr(report, f.name)
         if val is not None:
-            lines.append(f"{key} = {float(val)!r}")
+            lines.append(f"{f.name} = {float(val)!r}")
     lines.append("")
     lines += _bound_block(cfg)
     lines += ["", "[resolved-config]"]

@@ -48,9 +48,14 @@ dt.  The positivity guard min(u/|du|) is bounded below by min u/max |du|;
 when that bound already allows dt, the guard cannot bind and is skipped,
 and otherwise it adds one reduction.  FULL_RD adds the max and min of v
 (the min serves both v's positivity check and the lower bound of its
-guard) and the same dt reductions on v.  The
-update u + dt*du is formed in du's buffer, and the t-clock families
-evaluate rho(clock) once per step.
+guard) and the same dt reductions on v.  The update u + dt*du is formed
+in du's buffer, and the t-clock families evaluate rho(clock) once per step.
+
+_step alone decides a run's verdict and ends it at the terminal clock,
+which advance() samples last; the report takes that verdict and, for
+BlowUp and Quench, the event times from that sample, and analysis only
+refines a BlowUp.  eta0 defaults to the ODE balance (b/a avg u0^r)^(1/(s+1))
+at clock 0; v0 defaults to 2.0, which is not balanced.
 
 The per-run machinery (indices, quadrature weights, Laplacian, inhibitor
 solve, coefficient exponent, clock end) lives in a _Ctx.  advance() builds
@@ -71,7 +76,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import BlowUpReport, Verdict, detect_blowup
+from .analysis import BlowUpReport, Verdict, _refine_blowup
 from .evolution import (
     EvolutionLaw,
     LawKind,
@@ -81,7 +86,7 @@ from .evolution import (
     sigma_of_t,
     t_of_sigma,
 )
-from .initdata import InitSpec, build_initial
+from .initdata import InitSpec, _check_fits, build_initial
 from .mesh import Field, Grid, RadialGrid, RectGrid
 from .params import Parameters, derive_indices
 
@@ -166,6 +171,7 @@ class RunConfig:
             raise ValueError(
                 f"evolution dimension {self.law.dimension} != grid dimension {grid_dim}"
             )
+        _check_fits(self.init, self.grid, self.params.p)
 
 
 class TimeSeries:
@@ -484,8 +490,9 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     Samples diagnostics every sample_stride steps, whenever the sup norm has
     grown by 5% since the last sample (so the blow-up tail is resolved), and
     at termination.  Snapshots are taken at the first state reaching each
-    requested time plus the final state.  The blow-up event time is refined
-    by the extrapolation in analysis.detect_blowup.
+    requested time plus the final state.  The report's verdict is _step's,
+    and a BlowUp or Quench event is the last sample, at the terminal clock;
+    analysis refines a BlowUp from the samples before it.
     """
     ctx = _Ctx(config)
     p = config.params
@@ -499,15 +506,14 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
             aux = (b / a * ctx.average(u0.values, p.r)) ** (1.0 / (p.s + 1.0))
     elif config.system is SystemKind.FULL_RD:
         aux = np.full(config.grid.shape, 2.0 if config.v0 is None else config.v0)
-    sup0 = float(u0.values.max())
-    min0 = float(u0.values.min())
-    if config.blowup_threshold <= sup0:
+    sup, low = float(u0.values.max()), float(u0.values.min())
+    if config.blowup_threshold <= sup:
         raise ValueError(
-            f"blowup_threshold {config.blowup_threshold} must exceed initial sup {sup0}"
+            f"blowup_threshold {config.blowup_threshold} must exceed initial sup {sup}"
         )
-    if config.quench_threshold >= min0:
+    if config.quench_threshold >= low:
         raise ValueError(
-            f"quench_threshold {config.quench_threshold} must be below initial min {min0}"
+            f"quench_threshold {config.quench_threshold} must be below initial min {low}"
         )
 
     series = TimeSeries()
@@ -524,18 +530,15 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
         a = math.nan if state.aux is None else float(np.max(state.aux))
         series.append(t, sigma, sup, mu, zeta, wmom, a)
 
-    sup, low = sup0, min0
     sample(sup)
-    last_sup = sup
-    last_clock = state.clock
+    last_sup, last_clock = sup, state.clock
     while state.verdict is None:
         sup, low = _step(ctx, state, sup, low)
         if state.verdict is not None:
             break
         if state.steps % config.sample_stride == 0 or sup >= 1.05 * last_sup:
             sample(sup)
-            last_sup = sup
-            last_clock = state.clock
+            last_sup, last_clock = sup, state.clock
         while pending and state.clock >= pending[0]:
             label = f"clock{pending.pop(0)!r}"
             snapshots[label] = Field(config.grid, state.u.copy())
@@ -543,12 +546,9 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
         sample(sup)
     snapshots["final"] = Field(config.grid, state.u.copy())
 
-    report = detect_blowup(
-        series, p.p, config.blowup_threshold, config.quench_threshold
-    )
-    if state.verdict in (Verdict.HORIZON_REACHED, Verdict.NON_FINITE):
-        report.verdict = state.verdict
-    if report.verdict in (Verdict.BLOW_UP, Verdict.QUENCH) and report.event_time_t is None:
-        t, sigma = _clocks(config, state.clock)
-        report.event_time_t, report.event_time_sigma = t, sigma
+    report = BlowUpReport(state.verdict)
+    if state.verdict in (Verdict.BLOW_UP, Verdict.QUENCH):
+        report.event_time_t, report.event_time_sigma = series.t[-1], series.sigma[-1]
+    if state.verdict is Verdict.BLOW_UP:
+        _refine_blowup(report, series, p.p, len(series) - 1)
     return series, report, snapshots

@@ -220,6 +220,22 @@ def test_cli_run_preset_to_end_time_inf_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL_STATIC.replace("c = 1.0", "c = 2.0")
+     .replace("blowup_threshold = 1e6", "blowup_threshold = 1.5"),
+     "must exceed initial sup 2.0"),
+    (MINIMAL_STATIC.replace("init = constant", "init = cosine").replace("c = 1.0", "c = 2.0")
+     .replace("kind = rect\nnx = 9\nny = 9", "kind = radial\nM = 17"),
+     "cosine profile is defined on the unit square"),
+], ids=["threshold_below_initial_sup", "cosine_on_radial"])
+def test_cli_rejected_config_writes_nothing(tmp_path, capsys, text, message):
+    # advance() rejects the config before any run directory is made
+    rc = main(["run", write(tmp_path, text), "--outdir", str(tmp_path / "r")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_run_unknown_preset(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "missing.ini")])
     assert rc == 2

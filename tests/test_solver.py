@@ -13,6 +13,7 @@ import pytest
 
 import gmshadow
 from gmshadow import (
+    BlowUpReport,
     EvolutionLaw,
     Field,
     InitKind,
@@ -26,6 +27,7 @@ from gmshadow import (
     Verdict,
     advance,
     derive_indices,
+    detect_blowup,
     dilution_coefficient,
     dissipation_coeff,
     phi_squared,
@@ -568,6 +570,22 @@ def test_config_rejects_an_end_time_that_never_ends(system, law):
     small_cfg(system=system, params=TAU, law=law, end_time=1e9)
 
 
+BALL = dict(law=EvolutionLaw.static(3), grid=RadialGrid(3, 17))
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(BALL, init=InitSpec(InitKind.COSINE_PLUS, c=2.0)),
+     "cosine profile is defined on the unit square"),
+    (dict(init=InitSpec(InitKind.SPIKY)), "spiky profile is defined on the radial ball"),
+    (dict(BALL, params=Parameters(p=1, q=2, r=3, s=2), init=InitSpec(InitKind.SPIKY)),
+     "needs p > 1, got p=1"),
+], ids=["cosine_on_radial", "spiky_on_rect", "spiky_with_p_1"])
+def test_config_rejects_an_initial_profile_the_grid_cannot_hold(kw, message):
+    # rejected at construction, not first inside advance()
+    with pytest.raises(ValueError, match=message):
+        small_cfg(**kw)
+
+
 def test_sigma_clock_exp_growth_to_end_time_inf_stops_at_the_horizon():
     small_cfg(system=SystemKind.SHADOW_TAU, params=TAU, law=GROWTH, end_time=math.inf)
     cfg = small_cfg(law=GROWTH, end_time=math.inf, init=InitSpec(InitKind.CONSTANT, c=0.5),
@@ -645,16 +663,43 @@ def test_advance_matches_step_loop(cfg, monkeypatch):
             states.append(self)
 
     monkeypatch.setattr(solver, "RunState", Recorded)
-    _, _, snaps = advance(cfg)
+    _, report, snaps = advance(cfg)
     monkeypatch.undo()
     (run,) = states
     ref = _step_loop(cfg)
     assert run.steps == ref.steps > 10
     assert run.clock == ref.clock
     assert run.verdict is ref.verdict
+    assert report.verdict is ref.verdict
+    event = (solver._clocks(cfg, ref.clock)
+             if ref.verdict in (Verdict.BLOW_UP, Verdict.QUENCH) else (None, None))
+    assert (report.event_time_t, report.event_time_sigma) == event
     assert np.array_equal(run.u, ref.u)
     assert np.array_equal(run.aux, ref.aux)
     assert np.array_equal(snaps["final"].values, ref.u)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("cfg, verdict", [
+    (small_cfg(grid=RectGrid(17, 17), blowup_threshold=1e4), Verdict.BLOW_UP),
+    (small_cfg(init=InitSpec(InitKind.CONSTANT, c=0.5), dt=5e-3, end_time=30.0,
+               quench_threshold=1e-3), Verdict.QUENCH),
+    (small_cfg(end_time=0.05), Verdict.HORIZON_REACHED),
+    (small_cfg(blowup_threshold=math.inf, end_time=1e9), Verdict.NON_FINITE),
+], ids=["blowup", "quench", "horizon", "overflow"])
+def test_advance_report_is_the_steppers_verdict(cfg, verdict):
+    # the verdict and event come from the stepper; analysis only refines a
+    # BlowUp, so detect_blowup on the series agrees wherever it applies
+    series, report, _ = advance(cfg)
+    assert report.verdict is verdict
+    if verdict in (Verdict.BLOW_UP, Verdict.QUENCH):
+        expected = detect_blowup(series, cfg.params.p, cfg.blowup_threshold,
+                                 cfg.quench_threshold)
+        assert dataclasses.asdict(report) == dataclasses.asdict(expected)
+        assert type(report.event_time_t) is type(report.event_time_sigma) is float
+        assert (report.extrapolated_sigma is None) is (verdict is Verdict.QUENCH)
+    else:
+        assert dataclasses.asdict(report) == dataclasses.asdict(BlowUpReport(verdict))
 
 
 # ------------------------------------------------------- step's context
