@@ -211,18 +211,31 @@ class RadialGrid:
         default.  At R=0 this reduces to the symmetry limit N*u_RR(0); interior
         rows agree with central differences to second order.  For a dirichlet
         outer boundary the last row is zeroed (the node is pinned elsewhere).
+
+        The M-1 face fluxes face*(u[1:] - u[:-1])/h are written into a buffer
+        padded with +0.0 before them and -0.0 after, so one difference of
+        neighbouring entries and one divide by the cell volumes cover every
+        row: f - (+0.0) and (-0.0) - f round to exactly f and -f, the end
+        rows' one-sided values.  The operator owns that buffer, so one
+        operator must not be called from two threads at once.  Each call
+        returns a fresh array.
         """
         h = self.h
         face = self.face_areas()
         vol = self.cell_volumes() / self.dim
-        neumann = self.outer_bc == "neumann"
+        dirichlet = self.outer_bc == "dirichlet"
+        padded = np.zeros(self.M + 1)
+        padded[-1] = -0.0
+        flux, right, left = padded[1:-1], padded[1:], padded[:-1]
 
         def lap(u: np.ndarray) -> np.ndarray:
-            flux = face * (u[1:] - u[:-1]) / h
-            out = np.empty_like(u)
-            out[0] = flux[0] / vol[0]
-            out[1:-1] = (flux[1:] - flux[:-1]) / vol[1:-1]
-            out[-1] = -flux[-1] / vol[-1] if neumann else 0.0
+            np.subtract(u[1:], u[:-1], out=flux)
+            np.multiply(face, flux, out=flux)
+            np.divide(flux, h, out=flux)
+            out = np.subtract(right, left)
+            np.divide(out, vol, out=out)
+            if dirichlet:
+                out[-1] = 0.0
             return out
 
         return lap

@@ -40,16 +40,17 @@ run by four small matmuls per step instead of calling an FFT: on 128
 nodes the DCT-I is an FFT of length 2(N-1) = 254, and its prime factor
 127 makes that about ten times slower than the matmuls.
 
-Each step reduces every array once: the max and min of the new u (which
-also serve as its finiteness test, and which advance() carries into the
-next step's verdict check, positivity check and dt selection and into its
-own sample trigger), and the max and min of du, which give max |du| for
-dt.  The positivity guard min(u/|du|) is bounded below by min u/max |du|;
-when that bound already allows dt, the guard cannot bind and is skipped,
-and otherwise it adds one reduction.  FULL_RD adds the max and min of v
-(the min serves both v's positivity check and the lower bound of its
-guard) and the same dt reductions on v.  The update u + dt*du is formed
-in du's buffer, and the t-clock families evaluate rho(clock) once per step.
+A step allocates one array, the new u: the rate is formed in the
+Laplacian's fresh output and u + dt*du in that same buffer, so state.u is
+always a fresh array and no array a caller holds is written.  Every other
+temporary lives in the context's workspace (below).  A step reduces each
+array once: the max and min of the new u (also its finiteness test, which
+advance() carries into the next step's checks, dt selection and sample
+trigger) and the max and min of du, which give max |du| for dt.  The
+positivity guard min(u/|du|) is bounded below by min u/max |du|; when that
+bound already allows dt, the guard cannot bind and is skipped.  FULL_RD
+adds the same reductions on v, and its inhibitor update (the kinetics and
+the spectral solve, which dominates its step) still forms fresh arrays.
 
 _step alone decides a run's verdict and ends it at the terminal clock,
 which advance() samples last; the report takes that verdict and, for
@@ -57,14 +58,23 @@ BlowUp and Quench, the event times from that sample, and analysis only
 refines a BlowUp.  eta0 defaults to the ODE balance (b/a avg u0^r)^(1/(s+1))
 at clock 0; v0 defaults to 2.0, which is not balanced.
 
-The per-run machinery (indices, quadrature weights, Laplacian, inhibitor
-solve, coefficient exponent, clock end) lives in a _Ctx.  advance() builds
-one per run; step() keeps one on the RunState and rebuilds it only when the
-config no longer equals the snapshot the context was built from, so an
-in-place edit of a RunConfig between calls takes effect, and each build
-re-runs the config's validation.  A _Ctx's Laplacian owns scratch
-buffers, so use one RunState per thread: copy.copy(state) shares the
-context, while copy.deepcopy and pickle rebuild it from its config.
+The per-run machinery lives in a _Ctx: indices, quadrature weights,
+Laplacian, inhibitor solve, coefficient exponent and clock end, the family
+flags, and what the config fixes.  rho^2 is 1 in the sigma clock and under
+the static law, and (a, b) does not move under the static law nor, in t,
+under an exponential law (L = 1 + N r); there they are worked out once,
+and otherwise once per step.  The context also holds the step workspace:
+the mean's power of u (u^r in a step), u^p, a*u, the dt guard's |du|, and
+the Laplacian's own buffers (the rectangle's ghost frame, the ball's
+zero-padded fluxes), all overwritten by every step.  A multiply by a or b
+equal to 1.0 is skipped, and with r = 2 and p = 4 the step squares the
+mean's u^2 for u^4, the product fast_pow would form.  advance() builds one
+context per run; step() keeps one on the RunState and rebuilds it only
+when the config no longer equals the snapshot the context was built from,
+so an in-place edit of a RunConfig between calls takes effect, and each
+build re-runs the config's validation.  Because of the workspace, use one
+RunState per thread: copy.copy(state) shares the context, while
+copy.deepcopy and pickle rebuild it from its config.
 """
 
 from __future__ import annotations
@@ -199,20 +209,27 @@ class TimeSeries:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def fast_pow(u: np.ndarray, e: float) -> np.ndarray:
-    """u**e with multiply chains for small integer exponents (hot path)."""
+def fast_pow(u: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """u**e with multiply chains for small integer exponents (hot path).
+
+    u itself when e = 1; otherwise the power is written into `out` when one
+    is given, and into a fresh array when not."""
     if e == 1.0:
         return u
     if e == 2.0:
-        return u * u
+        return np.multiply(u, u, out=out)
     if e == 3.0:
-        return u * u * u
+        cube = np.multiply(u, u, out=out)
+        return np.multiply(cube, u, out=cube)
     if e == 4.0:
-        sq = u * u
-        return sq * sq
+        sq = np.multiply(u, u, out=out)
+        return np.multiply(sq, sq, out=sq)
     if e == 0.0:
-        return np.ones_like(u)
-    return np.power(u, e)
+        if out is None:
+            return np.ones_like(u)
+        out.fill(1.0)
+        return out
+    return np.power(u, e, out=out)
 
 
 @dataclass
@@ -228,25 +245,43 @@ class RunState:
 
 
 class _Ctx:
-    """Precomputed per-run machinery: weights, laplacian, inhibitor solve,
-    coefficient exponent, clock end."""
+    """Per-run machinery and the step workspace: weights, Laplacian,
+    inhibitor solve, coefficient exponent, clock end, what the config fixes
+    of rho^2 and (a, b), and the preallocated per-step temporaries."""
 
     def __init__(self, config: RunConfig):
         # a shallow snapshot: it re-runs RunConfig's validation, and step()
         # compares it with the caller's config to see an in-place edit
         self.cfg = cfg = replace(config)
-        self.idx = derive_indices(cfg.params)
+        p, law, kind = cfg.params, cfg.law, cfg.system
+        self.idx = derive_indices(p)
         g = cfg.grid
         self.w = g.quad_weights().ravel()
         self.laplacian = g.laplacian_operator()
-        self.scratch = np.empty(g.shape)  # a*u, then b*u^p/denom when u^p is u
         self.pin_outer = isinstance(g, RadialGrid) and g.outer_bc == "dirichlet"
         self.h2 = g.h_min**2
-        if cfg.system is SystemKind.FULL_RD:
+        self.shadow = kind is SystemKind.SHADOW_TAU
+        self.full_rd = kind is SystemKind.FULL_RD
+        if self.full_rd:
             # (I - nu*Lap)^-1, exact in the grid's cosine basis
             self.diffuse_inhibitor = g.resolvent_operator()
-        self.e = 0.0 if cfg.system in _INHIBITOR_FAMILIES else self.idx.gamma
-        self.end = clock_end(cfg.law, cfg.end_time, cfg.system.t_native)
+        self.e = 0.0 if kind in _INHIBITOR_FAMILIES else self.idx.gamma
+        self.end = clock_end(law, cfg.end_time, kind.t_native)
+        # rho is 1 in the sigma clock and under the static law; (a, b) is
+        # fixed under the static law and, in t, under an exponential law
+        # (L = 1 + N r); None where the clock moves them
+        self.rho2 = 1.0 if not kind.t_native or law.kind is LawKind.STATIC else None
+        self.ab = None
+        if law.kind is LawKind.STATIC or (kind.t_native and law.kind is not LawKind.LOGISTIC):
+            self.ab = self.coefficients(0.0)
+        # the workspace, overwritten by every step: the mean's power of u
+        # (u^r in a step), u^p, a*u (then b*u^p/denom when u^p is u), and
+        # the dt guard's |du|
+        self.ur, self.up, self.scratch, self.mag = np.empty((4, *g.shape))
+        # fast_pow forms u^4 as (u^2)^2, so with r = 2 the u^r that the step
+        # formed for the mean or FULL_RD's kinetics is u^4's factor
+        forms_ur = kind in _INHIBITOR_FAMILIES or self.idx.gamma != 0.0
+        self.up_from_ur = forms_ur and p.r == 2.0 and p.p == 4.0
 
     def __reduce__(self):
         # the operators are closures; a copy rebuilds them with its own buffers
@@ -254,13 +289,25 @@ class _Ctx:
 
     def coefficients(self, clock: float) -> tuple[float, float]:
         """The family's (a, b) at the clock: Phi and Psi_e, in its clock."""
+        if self.ab is not None:
+            return self.ab
         return clock_coefficients(self.cfg.law, clock, self.e, self.cfg.system.t_native)
+
+    def rho_squared(self, clock: float) -> float:
+        """rho(clock)^2 for the t-clock families; 1 for the sigma-clock ones,
+        whose equations carry no rho."""
+        if self.rho2 is not None:
+            return self.rho2
+        return scale_factor(self.cfg.law, clock) ** 2
 
     def average(self, u: np.ndarray, power: float) -> float:
         """The quadrature average of u^power, the solver's one weighted mean:
         dot products over blocks of _DOT_BLOCK entries, summed left to right
-        (a single np.dot when u has at most _DOT_BLOCK entries)."""
-        w, x = self.w, fast_pow(u, power).ravel()
+        (a single np.dot when u has at most _DOT_BLOCK entries).  u^power is
+        left in self.ur."""
+        w, x = self.w, fast_pow(u, power, self.ur).ravel()
+        if w.size <= _DOT_BLOCK:
+            return float(np.dot(w, x))
         m = float(np.dot(w[:_DOT_BLOCK], x[:_DOT_BLOCK]))
         for i in range(_DOT_BLOCK, w.size, _DOT_BLOCK):
             m += float(np.dot(w[i : i + _DOT_BLOCK], x[i : i + _DOT_BLOCK]))
@@ -271,12 +318,6 @@ class _Ctx:
         if m <= 0.0:
             raise NonPositiveStateError(f"nonlocal mean of u^{power} is {m}")
         return m
-
-
-def _rho_squared(cfg: RunConfig, clock: float) -> float:
-    """rho(clock)^2 for the t-clock families; 1 for the sigma-clock ones,
-    whose equations carry no rho."""
-    return scale_factor(cfg.law, clock) ** 2 if cfg.system.t_native else 1.0
 
 
 def rhs(
@@ -290,29 +331,36 @@ def rhs(
     Returns the pointwise activator rate and, when an inhibitor is present,
     its rate (for FULL_RD: the kinetic part only; the inhibitor diffusion is
     applied inside step() by an exact spectral solve).  Raises ValueError
-    when u or aux does not fit the config.
+    when u, aux or the clock does not fit the config.
 
     Each call builds its own context: rhs() has no state to keep one on,
-    and a context shared between calls would share the Laplacian's scratch
-    buffers across threads.
+    and a context shared between calls would share its workspace across
+    threads.
     """
     if u.grid != config.grid:
         raise ValueError(f"u is on {u.grid}, the config on {config.grid}")
-    _check_state(config, u.values, aux)
+    _check_state(config, u.values, aux, clock)
     ctx = _Ctx(config)
     du, daux, _ = _rhs_arrays(
-        ctx, u.values, aux, clock, float(u.values.min()), _rho_squared(config, clock)
+        ctx, u.values, aux, clock, float(u.values.min()), ctx.rho_squared(clock)
     )
     return Field(u.grid, du), daux
 
 
-def _check_state(cfg: RunConfig, u: np.ndarray, aux) -> None:
-    """Reject a u or aux that does not fit cfg; no pass over the arrays."""
+def _check_state(cfg: RunConfig, u: np.ndarray, aux, clock: float) -> None:
+    """Reject a u, aux or clock that does not fit cfg; no pass over the arrays."""
     if u.shape != cfg.grid.shape:
         raise ValueError(f"u has shape {u.shape}, the grid {cfg.grid.shape}")
+    if u.dtype.kind != "f":
+        raise ValueError(f"u has dtype {u.dtype}, not a float dtype")
+    # written so that NaN fails too
+    if not clock >= 0.0:
+        raise ValueError(f"clock must be a nonnegative number, got {clock}")
     kind = cfg.system
     if kind is SystemKind.SHADOW_TAU:
         fits, want = isinstance(aux, numbers.Real), "a float eta"
+        if fits and not math.isfinite(aux):
+            fits, want = False, "a finite eta"
     elif kind is SystemKind.FULL_RD:
         fits = isinstance(aux, np.ndarray) and aux.shape == cfg.grid.shape
         want = f"an array v of shape {cfg.grid.shape}"
@@ -325,31 +373,31 @@ def _check_state(cfg: RunConfig, u: np.ndarray, aux) -> None:
 
 def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     """Rates of the family at u, whose minimum `low` and the clock's
-    _rho_squared `rho2` the caller supplies, and the minimum of FULL_RD's
-    v (None for the other families)."""
-    cfg = ctx.cfg
-    p = cfg.params
-    gamma = ctx.idx.gamma
+    ctx.rho_squared `rho2` the caller supplies, and the minimum of FULL_RD's
+    v (None for the other families).  The activator's temporaries are in
+    ctx's workspace, and its rate is the Laplacian's fresh output."""
+    p = ctx.cfg.params
     v_low = None
     if low <= 0.0:
         raise NonPositiveStateError("activator lost positivity")
-    kind = cfg.system
     # the activator rate is d Lap u - a u + b u^p / denom, with d = D1/rho2
     a, b = ctx.coefficients(clock)
-    if kind is SystemKind.SHADOW_TAU:
+    if ctx.shadow:
         eta = aux
-        if eta <= POSITIVITY_FLOOR:
+        # written so that NaN fails too
+        if not eta > POSITIVITY_FLOOR:
             raise NonPositiveStateError(f"inhibitor eta nonpositive: {eta}")
         denom = eta**p.q
         daux = (-a * eta + b * ctx.nonlocal_mean(u, p.r) / eta**p.s) / p.tau
-    elif kind is SystemKind.FULL_RD:
+    elif ctx.full_rd:
         v = aux
         v_low = float(v.min())
-        if v_low <= POSITIVITY_FLOOR:
+        if not v_low > POSITIVITY_FLOOR:
             raise NonPositiveStateError("inhibitor v nonpositive")
         denom = fast_pow(v, p.q)
-        daux = (-a * v + fast_pow(u, p.r) / fast_pow(v, p.s)) / p.tau
+        daux = (-a * v + fast_pow(u, p.r, ctx.ur) / fast_pow(v, p.s)) / p.tau
     else:
+        gamma = ctx.idx.gamma
         denom = ctx.nonlocal_mean(u, p.r) ** gamma if gamma != 0.0 else 1.0
         daux = None
     # formed in the Laplacian's fresh output in the order of
@@ -359,8 +407,11 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     d = p.D1 / rho2
     if d != 1.0:
         du *= d
-    du -= np.multiply(u, a, out=ctx.scratch)
-    up = fast_pow(u, p.p)
+    du -= u if a == 1.0 else np.multiply(u, a, out=ctx.scratch)
+    if ctx.up_from_ur:
+        up = np.multiply(ctx.ur, ctx.ur, out=ctx.up)
+    else:
+        up = fast_pow(u, p.p, ctx.up)
     out = ctx.scratch if up is u else up
     if b != 1.0:
         up = np.multiply(up, b, out=out)
@@ -370,7 +421,7 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     return du, daux, v_low
 
 
-def _field_dt_limit(dt: float, vals, sup: float, low: float, dvals) -> float:
+def _field_dt_limit(dt: float, vals, sup: float, low: float, dvals, mag=None) -> float:
     """dt limited by the relative growth clamp and the positivity guard, which
     keeps a positive explicit-Euler update of vals (maximum sup, any lower
     bound low) comfortably positive.
@@ -379,12 +430,13 @@ def _field_dt_limit(dt: float, vals, sup: float, low: float, dvals) -> float:
     when any entry is).  The guard min(vals/(|dvals| + 1e-300)) is at least
     low/(max |dvals| + 1e-300), as rounding is monotone, so when that bound
     already allows dt the guard cannot bind and its four passes are skipped.
+    They run in `mag`, an array of dvals' shape, when one is given.
     """
     mx = max(float(dvals.max()), -float(dvals.min()))
     dt = min(dt, 0.1 * (1.0 + sup) / (1.0 + mx))
     if 0.45 * (low / (mx + 1e-300)) >= dt:
         return dt
-    mag = np.abs(dvals)
+    mag = np.abs(dvals, out=mag)
     mag += 1e-300
     np.divide(vals, mag, out=mag)
     return min(dt, 0.45 * float(mag.min()))
@@ -397,11 +449,11 @@ def _dt_effective(
     cfg = ctx.cfg
     d_eff = cfg.params.D1 / rho2
     dt = min(cfg.dt, ctx.h2 / (4.0 * d_eff))
-    dt = _field_dt_limit(dt, u, sup, low, du)
-    if cfg.system is SystemKind.SHADOW_TAU:
+    dt = _field_dt_limit(dt, u, sup, low, du, ctx.mag)
+    if ctx.shadow:
         dt = min(dt, 0.45 * aux / (abs(daux) + 1e-300))
-    elif cfg.system is SystemKind.FULL_RD:
-        dt = _field_dt_limit(dt, aux, float(aux.max()), v_low, daux)
+    elif ctx.full_rd:
+        dt = _field_dt_limit(dt, aux, float(aux.max()), v_low, daux, ctx.mag)
     return dt * cfg.dt_safety
 
 
@@ -419,7 +471,7 @@ def step(config: RunConfig, state: RunState) -> RunState:
     ctx = state._ctx
     if ctx is None or ctx.cfg != config:
         ctx = state._ctx = _Ctx(config)
-    _check_state(ctx.cfg, state.u, state.aux)
+    _check_state(ctx.cfg, state.u, state.aux, state.clock)
     _step(ctx, state, float(state.u.max()), float(state.u.min()))
     return state
 
@@ -442,7 +494,7 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     if clock >= end * (1.0 - 1e-14):
         state.verdict = Verdict.HORIZON_REACHED
         return sup, low
-    rho2 = _rho_squared(cfg, clock)
+    rho2 = ctx.rho_squared(clock)
     try:
         du, daux, v_low = _rhs_arrays(ctx, u, aux, clock, low, rho2)
     except NonPositiveStateError:
@@ -453,15 +505,15 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     if not math.isfinite(dt) or dt <= 0.0:
         state.verdict = Verdict.NON_FINITE
         return sup, low
-    # u + dt*du, formed in du's buffer
+    # u + dt*du, formed in du's buffer, the one array a step allocates
     u_new = du
     u_new *= dt
     u_new += u
     if ctx.pin_outer:
         u_new[-1] = u[-1]
-    if cfg.system is SystemKind.SHADOW_TAU:
+    if ctx.shadow:
         aux_new = aux + dt * daux
-    elif cfg.system is SystemKind.FULL_RD:
+    elif ctx.full_rd:
         nu = dt * cfg.params.D2 / (cfg.params.tau * rho2)
         aux_new = ctx.diffuse_inhibitor(aux + dt * daux, nu)
     else:

@@ -155,25 +155,43 @@ LINEAR = Parameters(p=1, q=3, r=1.5, s=1, D1=0.37, D2=1.3, tau=0.05)  # gamma = 
 UNIT = Parameters(p=1, q=0, r=1.5, s=1)  # D1 = 1, gamma = 0: d = b = denom = 1
 
 
-@pytest.mark.parametrize("system, law, params", [
-    (SystemKind.NONLOCAL_SIGMA, STATIC, KINETICS),
-    (SystemKind.NONLOCAL_SIGMA, GROWTH, KINETICS),
-    (SystemKind.NONLOCAL_SIGMA, DECAY, UNINHIBITED),
-    (SystemKind.SHADOW_TAU, GROWTH, KINETICS),
-    (SystemKind.SHADOW_TAU, DECAY, KINETICS),
-    (SystemKind.NONLOCAL_T, DECAY, KINETICS),
-    (SystemKind.NONLOCAL_T, LOGISTIC, UNINHIBITED),
-    (SystemKind.FULL_RD, GROWTH, KINETICS),
-    (SystemKind.FULL_RD, LOGISTIC, KINETICS),
-    (SystemKind.NONLOCAL_SIGMA, GROWTH, LINEAR),
-    (SystemKind.SHADOW_TAU, DECAY, LINEAR),
-    (SystemKind.NONLOCAL_T, STATIC, UNIT),
-    (SystemKind.FULL_RD, GROWTH, LINEAR),
-], ids=lambda v: (v.value if isinstance(v, SystemKind)
-                  else v.kind.value if isinstance(v, EvolutionLaw)
-                  else f"gamma{derive_indices(v).gamma:.3g}"))
-def test_rhs_matches_per_family_formula_bit_for_bit(system, law, params):
-    cfg = small_cfg(system=system, law=law, params=params, grid=RectGrid(14, 11))
+RECT_GRID = RectGrid(14, 11)
+BALL_GRID = RadialGrid(3, 33)
+# p = 4, r = 2: a step forms u^4 as the square of the mean's u^2
+SHARED_POWER = Parameters(p=4, q=4, r=2, s=1, D1=0.37)
+NO_MEAN = Parameters(p=4, q=0, r=2, s=1, D1=0.37)  # gamma = 0: no u^2 to share
+RHS_CASES = [
+    (SystemKind.NONLOCAL_SIGMA, STATIC, KINETICS, RECT_GRID),
+    (SystemKind.NONLOCAL_SIGMA, GROWTH, KINETICS, RECT_GRID),
+    (SystemKind.NONLOCAL_SIGMA, DECAY, UNINHIBITED, RECT_GRID),
+    (SystemKind.SHADOW_TAU, GROWTH, KINETICS, RECT_GRID),
+    (SystemKind.SHADOW_TAU, DECAY, KINETICS, RECT_GRID),
+    (SystemKind.NONLOCAL_T, DECAY, KINETICS, RECT_GRID),
+    (SystemKind.NONLOCAL_T, LOGISTIC, UNINHIBITED, RECT_GRID),
+    (SystemKind.FULL_RD, GROWTH, KINETICS, RECT_GRID),
+    (SystemKind.FULL_RD, LOGISTIC, KINETICS, RECT_GRID),
+    (SystemKind.NONLOCAL_SIGMA, GROWTH, LINEAR, RECT_GRID),
+    (SystemKind.SHADOW_TAU, DECAY, LINEAR, RECT_GRID),
+    (SystemKind.NONLOCAL_T, STATIC, UNIT, RECT_GRID),
+    (SystemKind.FULL_RD, GROWTH, LINEAR, RECT_GRID),
+    (SystemKind.NONLOCAL_T, EvolutionLaw.static(3), SHARED_POWER, BALL_GRID),
+    (SystemKind.NONLOCAL_T, EvolutionLaw.exp_decay(0.1, 3), SHARED_POWER, BALL_GRID),
+    (SystemKind.NONLOCAL_SIGMA, EvolutionLaw.exp_growth(0.1, 3), KINETICS, BALL_GRID),
+    (SystemKind.SHADOW_TAU, EvolutionLaw.exp_decay(0.1, 3), KINETICS, BALL_GRID),
+    (SystemKind.NONLOCAL_SIGMA, EvolutionLaw.static(3), NO_MEAN, BALL_GRID),
+]
+
+
+def _case_id(grid, *parts):
+    """The parts joined by "-", with "ball" last on a RadialGrid."""
+    return "-".join([*parts, *(["ball"] if isinstance(grid, RadialGrid) else [])])
+
+
+@pytest.mark.parametrize("system, law, params, grid", RHS_CASES, ids=[
+    _case_id(grid, system.value, law.kind.value, f"gamma{derive_indices(params).gamma:.3g}")
+    for system, law, params, grid in RHS_CASES])
+def test_rhs_matches_per_family_formula_bit_for_bit(system, law, params, grid):
+    cfg = small_cfg(system=system, law=law, params=params, grid=grid)
     rng = np.random.default_rng(8)
     u = rng.uniform(0.5, 3.0, cfg.grid.shape)
     aux = {SystemKind.SHADOW_TAU: 1.7,
@@ -827,31 +845,65 @@ SHAPE = re.escape("u has shape (10, 10), the grid (9, 9)")
 OTHER_GRID = re.escape("u is on RectGrid(nx=10, ny=10), the config on RectGrid(nx=9, ny=9)")
 
 
-@pytest.mark.parametrize("system, params, grid, aux, step_message, rhs_message", [
-    (SystemKind.NONLOCAL_SIGMA, TABLE1, RectGrid(10, 10), None, SHAPE, OTHER_GRID),
-    (SystemKind.SHADOW_TAU, TAU, RectGrid(9, 9), None,
+@pytest.mark.parametrize("system, params, grid, aux, dtype, step_message, rhs_message", [
+    (SystemKind.NONLOCAL_SIGMA, TABLE1, RectGrid(10, 10), None, float, SHAPE, OTHER_GRID),
+    (SystemKind.SHADOW_TAU, TAU, RectGrid(9, 9), None, float,
      "shadow_tau needs a float eta, got None", None),
-    (SystemKind.NONLOCAL_SIGMA, TABLE1, RectGrid(9, 9), np.ones((9, 9)),
+    (SystemKind.NONLOCAL_SIGMA, TABLE1, RectGrid(9, 9), np.ones((9, 9)), float,
      re.escape("nonlocal_sigma needs no inhibitor (aux=None), got an array of shape (9, 9)"),
      None),
-    (SystemKind.NONLOCAL_T, TABLE1, RectGrid(9, 9), 1.0,
+    (SystemKind.NONLOCAL_T, TABLE1, RectGrid(9, 9), 1.0, float,
      re.escape("nonlocal_t needs no inhibitor (aux=None), got 1.0"), None),
-    (SystemKind.FULL_RD, TAU, RectGrid(9, 9), 2.0,
+    (SystemKind.FULL_RD, TAU, RectGrid(9, 9), 2.0, float,
      re.escape("full_rd needs an array v of shape (9, 9), got 2.0"), None),
-    (SystemKind.FULL_RD, TAU, RectGrid(9, 9), np.ones((9, 8)),
+    (SystemKind.FULL_RD, TAU, RectGrid(9, 9), np.ones((9, 8)), float,
      re.escape("full_rd needs an array v of shape (9, 9), got an array of shape (9, 8)"),
      None),
+    (SystemKind.SHADOW_TAU, TAU, RectGrid(9, 9), math.inf, float,
+     "shadow_tau needs a finite eta, got inf", None),
+    (SystemKind.SHADOW_TAU, TAU, RectGrid(9, 9), math.nan, float,
+     "shadow_tau needs a finite eta, got nan", None),
+    (SystemKind.NONLOCAL_SIGMA, TABLE1, RectGrid(9, 9), None, int,
+     "u has dtype int64, not a float dtype", None),
 ], ids=["u_shape", "shadow_tau_no_eta", "nonlocal_sigma_array", "nonlocal_t_float",
-        "full_rd_float", "full_rd_v_shape"])
+        "full_rd_float", "full_rd_v_shape", "shadow_tau_inf_eta", "shadow_tau_nan_eta",
+        "int_u"])
 def test_step_and_rhs_reject_a_state_that_does_not_fit(
-        system, params, grid, aux, step_message, rhs_message):
+        system, params, grid, aux, dtype, step_message, rhs_message):
     cfg = small_cfg(system=system, params=params)
-    state = RunState(u=np.full(grid.shape, 2.0), aux=aux, clock=0.0)
+    u = np.full(grid.shape, 2, dtype=dtype)
+    state = RunState(u=u, aux=aux, clock=0.0)
     with pytest.raises(ValueError, match=step_message):
         step(cfg, state)
     assert state.steps == 0 and state.verdict is None
+    field = const_field(grid, 2.0)
+    field.values = u  # a Field stores floats; hand rhs the raw array
     with pytest.raises(ValueError, match=rhs_message or step_message):
-        rhs(cfg, const_field(grid, 2.0), aux, 0.0)
+        rhs(cfg, field, aux, 0.0)
+
+
+@pytest.mark.parametrize("law", [STATIC, DECAY], ids=lambda law: law.kind.value)
+@pytest.mark.parametrize("clock", [-1e-3, math.nan], ids=["negative", "nan"])
+def test_step_and_rhs_reject_a_clock_that_is_not_a_nonnegative_number(law, clock):
+    # a static law's coefficients never read the clock, so the state check must
+    cfg = small_cfg(system=SystemKind.NONLOCAL_T, law=law)
+    state = RunState(u=np.full(cfg.grid.shape, 2.0), aux=None, clock=clock)
+    message = f"clock must be a nonnegative number, got {clock}"
+    with pytest.raises(ValueError, match=message):
+        step(cfg, state)
+    assert state.steps == 0 and state.verdict is None
+    with pytest.raises(ValueError, match=message):
+        rhs(cfg, const_field(cfg.grid, 2.0), None, clock)
+
+
+def test_step_ends_a_nan_inhibitor_v_non_finite_before_stepping():
+    cfg = small_cfg(system=SystemKind.FULL_RD, params=TAU, v0=2.0)
+    v = np.full(cfg.grid.shape, 2.0)
+    v[4, 3] = math.nan
+    state = RunState(u=np.full(cfg.grid.shape, 2.0), aux=v, clock=0.0)
+    step(cfg, state)
+    assert state.verdict is Verdict.NON_FINITE
+    assert state.steps == 0 and state.clock == 0.0
 
 
 # ------------------------------------------------- the mean and the rate
@@ -891,17 +943,27 @@ def test_average_is_one_dot_product_up_to_the_block_size(grid):
         assert ctx.average(u, e) == float(np.dot(w, fast_pow(u, e).ravel()))
 
 
-@pytest.mark.parametrize("system, params", [
+UNCHANGED_CASES = [
     (SystemKind.NONLOCAL_SIGMA, LINEAR),
     (SystemKind.SHADOW_TAU, LINEAR),
     (SystemKind.NONLOCAL_T, UNIT),
     (SystemKind.FULL_RD, LINEAR),
     (SystemKind.NONLOCAL_SIGMA, Parameters(p=0, q=2, r=1, s=2, D1=0.37)),
     (SystemKind.FULL_RD, Parameters(p=0, q=1, r=1, s=2, D1=0.37, tau=0.05)),
-], ids=lambda v: v.value if isinstance(v, SystemKind) else f"p{v.p:g}")
-def test_rhs_and_step_leave_the_callers_u_unchanged(system, params):
-    cfg = small_cfg(system=system, params=params, law=GROWTH, grid=RectGrid(14, 11),
-                    eta0=1.7, v0=1.3)
+    (SystemKind.NONLOCAL_T, SHARED_POWER),
+]
+
+
+_UNCHANGED = [(system, params, RECT_GRID) for system, params in UNCHANGED_CASES] + [
+    (system, params, BALL_GRID) for system, params in UNCHANGED_CASES
+    if system is not SystemKind.FULL_RD]
+
+
+@pytest.mark.parametrize("system, params, grid", _UNCHANGED, ids=[
+    _case_id(grid, system.value, f"p{params.p:g}") for system, params, grid in _UNCHANGED])
+def test_rhs_and_step_leave_the_callers_u_unchanged(system, params, grid):
+    law = GROWTH if isinstance(grid, RectGrid) else EvolutionLaw.exp_growth(0.1, 3)
+    cfg = small_cfg(system=system, params=params, law=law, grid=grid, eta0=1.7, v0=1.3)
     u = np.random.default_rng(11).uniform(0.5, 3.0, cfg.grid.shape)
     aux = {SystemKind.SHADOW_TAU: 1.7,
            SystemKind.FULL_RD: np.full(cfg.grid.shape, 1.3)}.get(system)
@@ -912,3 +974,8 @@ def test_rhs_and_step_leave_the_callers_u_unchanged(system, params):
     step(cfg, state)
     assert state.steps == 1 and state.u is not u
     assert np.array_equal(u, before)
+    # the workspace is shared by every step; the u a caller holds is not
+    held, kept = state.u, state.u.copy()
+    step(cfg, state)
+    assert state.steps == 2 and state.u is not held
+    assert np.array_equal(held, kept)
