@@ -378,8 +378,9 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     ctx's workspace, and its rate is the Laplacian's fresh output."""
     p = ctx.cfg.params
     v_low = None
-    if low <= 0.0:
-        raise NonPositiveStateError("activator lost positivity")
+    # written so that a NaN minimum fails too
+    if not low > 0.0:
+        raise NonPositiveStateError(f"activator minimum {low} is not positive (or is NaN)")
     # the activator rate is d Lap u - a u + b u^p / denom, with d = D1/rho2
     a, b = ctx.coefficients(clock)
     if ctx.shadow:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gmshadow import EvolutionLaw, Parameters, RadialGrid, SystemKind, Verdict, sigma_of_t
+from gmshadow import EvolutionLaw, Parameters, RadialGrid, SystemKind, Verdict, cli, sigma_of_t
 from gmshadow.cli import (
     PRESETS,
     ConfigError,
@@ -13,6 +13,7 @@ from gmshadow.cli import (
     parse_config,
     render_config,
     run_one,
+    run_preset,
 )
 
 MINIMAL_STATIC = """
@@ -317,7 +318,6 @@ def test_radial_override_on_rect_config_is_an_error(tmp_path, capsys):
 
 
 def test_run_preset_smoke(tmp_path):
-    from gmshadow.cli import run_preset
     rc = run_preset("exp2b", str(tmp_path),
                     overrides={"nx": 17, "ny": 17, "dt": 2e-3,
                                "blowup_threshold": 1e3, "end_time": 2.0})
@@ -329,6 +329,87 @@ def test_run_preset_smoke(tmp_path):
     assert "verdict=BlowUp" in summary
     header = (base / "run" / "series.csv").read_text().splitlines()[0]
     assert header == "t,sigma,sup_norm,mean_u,zeta,w_moment,eta_or_supv"
+
+
+# exp1 cut down to four steps on 17x17: four runs, more than two workers
+SHORT_EXP1 = {"nx": 17, "ny": 17, "end_time": 0.002}
+
+
+def _use_cpus(monkeypatch, n):
+    """Make run_preset see n usable CPUs on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _pids_of_local_runs(monkeypatch):
+    """Patch cli.advance to note the pid of each run made in this process;
+    a run in a worker notes nothing here."""
+    pids, real = [], cli.advance
+
+    def noting(cfg):
+        pids.append(os.getpid())
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "advance", noting)
+    return pids
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_pooled_preset_matches_the_one_process_path(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    pids = _pids_of_local_runs(monkeypatch)
+    trees, stdouts, local = [], [], []
+    for cpus in (2, 1):
+        _use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert run_preset("exp1", str(out), overrides=SHORT_EXP1) == 0
+        assert multiprocessing.active_children() == []
+        trees.append(_tree(out))
+        stdouts.append(capsys.readouterr().out)
+        local.append(pids[:])
+        pids.clear()
+    assert local == [[], [os.getpid()] * 4]
+    assert trees[0] == trees[1]
+    # four artifacts per run and the summary
+    assert len(trees[0]) == 17
+    assert stdouts[0] == stdouts[1] == "".join(
+        f"[exp1/{name}] verdict=HorizonReached\n"
+        for name in ("static", "exp_growth", "exp_decay", "logistic"))
+
+
+def test_a_preset_with_a_full_rd_run_keeps_to_this_process(tmp_path, monkeypatch):
+    pids = _pids_of_local_runs(monkeypatch)
+    _use_cpus(monkeypatch, 2)
+    run_preset("exp4", str(tmp_path), overrides={"nx": 17, "ny": 17, "end_time": 0.001})
+    assert pids == [os.getpid()] * 2
+
+
+def test_pooled_preset_rejected_in_a_worker_exits_2(tmp_path, capsys, monkeypatch):
+    import multiprocessing
+
+    _use_cpus(monkeypatch, 2)
+    rc = main(["run", "exp1", "--blowup-threshold", "1.5", "--outdir", str(tmp_path / "r")])
+    assert rc == 2
+    assert "error: blowup_threshold 1.5 must exceed initial sup 3.0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_preset_reraises_a_worker_error_as_itself(tmp_path, monkeypatch):
+    import multiprocessing
+
+    def broken(cfg):
+        raise RuntimeError(f"no {cfg.law.kind.value} run")
+
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "advance", broken)
+    with pytest.raises(RuntimeError, match="^no static run$") as err:
+        run_preset("exp1", str(tmp_path), overrides=SHORT_EXP1)
+    assert err.type is RuntimeError
+    assert multiprocessing.active_children() == []
 
 
 def test_snapshot_rect_header(tmp_path):

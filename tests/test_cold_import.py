@@ -1,6 +1,8 @@
 """Importing gmshadow and running the static and exponential laws loads no
 scipy: only the logistic law's quadrature (analysis.threshold_integral) and
-root-find (evolution.t_of_sigma) import it, when they are called."""
+root-find (evolution.t_of_sigma) import it, when they are called.  Nor does
+importing gmshadow.cli load the worker pool's modules: only a pooled preset
+run imports them."""
 
 import json
 import os
@@ -53,3 +55,12 @@ def test_scipy_is_imported_only_by_the_logistic_law():
     assert out["values"] == ["0.5084254942342611", "0.47723324509092535",
                              "0.7347412095425939", "0.3776924313896391"]
     assert {"scipy.optimize", "scipy.integrate"} <= set(out["after"])
+
+
+def test_the_worker_pool_is_imported_only_by_a_pooled_preset():
+    probe = ("import json, sys; import gmshadow, gmshadow.cli; print(json.dumps(sorted("
+             "m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures')))))")
+    src = str(Path(gmshadow.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(done.stdout) == []

@@ -110,6 +110,16 @@ def test_rhs_rejects_nonpositive_eta():
         rhs(cfg, const_field(cfg.grid, 1.0), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_rhs_rejects_a_nonpositive_or_nan_activator(bad):
+    from gmshadow import NonPositiveStateError
+    cfg = small_cfg()
+    u = const_field(cfg.grid, 2.0)
+    u.values[4, 4] = bad
+    with pytest.raises(NonPositiveStateError, match=r"not positive \(or is NaN\)"):
+        rhs(cfg, u, None, 0.0)
+
+
 def test_rhs_t_form_uses_dilution_coefficients():
     cfg = small_cfg(system=SystemKind.NONLOCAL_T, law=DECAY)
     t = 0.7
