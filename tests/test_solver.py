@@ -623,12 +623,23 @@ def test_sigma_clock_exp_growth_to_end_time_inf_stops_at_the_horizon():
     assert series.sigma[-1] == clock_end(GROWTH, math.inf, False) < 1.0 / (2.0 * GROWTH.beta)
 
 
-@pytest.mark.parametrize("times", [(-0.1,), (math.nan,), (0.1, -1e-9)],
-                         ids=["negative", "nan", "one_negative"])
+@pytest.mark.parametrize("times", [(-0.1,), (math.nan,), (0.1, -1e-9), (0.1, math.inf)],
+                         ids=["negative", "nan", "one_negative", "inf"])
 def test_config_rejects_bad_snapshot_times(times):
+    # an infinite time is a snapshot that advance() would never write
     with pytest.raises(ValueError, match="snapshot_times"):
         small_cfg(snapshot_times=times)
     small_cfg(snapshot_times=(0.0, 0.5))
+
+
+@pytest.mark.parametrize("stride", [math.nan, 2.5, 20.0, 0, -3, True],
+                         ids=["nan", "fraction", "float", "zero", "negative", "bool"])
+def test_config_rejects_a_sample_stride_that_is_not_a_positive_integer(stride):
+    with pytest.raises(ValueError, match=re.escape(
+            f"sample_stride must be an integer >= 1, got {stride!r}")):
+        small_cfg(sample_stride=stride)
+    small_cfg(sample_stride=1)
+    small_cfg(sample_stride=np.int64(7))
 
 
 @pytest.mark.parametrize("system, params", [
@@ -664,25 +675,50 @@ def _step_loop(cfg):
     return state
 
 
-@pytest.mark.parametrize("cfg", [
-    small_cfg(system=SystemKind.NONLOCAL_T, grid=RectGrid(14, 11), law=DECAY,
-              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.1),
-    small_cfg(system=SystemKind.SHADOW_TAU, params=Parameters(p=3, q=2, r=1, s=2, tau=0.1),
-              law=DECAY, grid=RectGrid(11, 14), eta0=0.7,
-              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.2),
-    small_cfg(system=SystemKind.FULL_RD,
-              params=Parameters(p=3, q=2, r=1, s=2, D1=0.01, D2=1.0, tau=0.01),
-              law=DECAY, grid=RectGrid(17, 13), v0=2.0,
-              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.05),
-    small_cfg(system=SystemKind.NONLOCAL_T, params=Parameters(p=4, q=4, r=2, s=1),
-              law=EvolutionLaw.static(3), grid=RadialGrid(3, 65, outer_bc="dirichlet"),
-              init=InitSpec(InitKind.SPIKY, delta=0.8, lam=0.1), dt=5e-4,
-              end_time=0.01, quench_threshold=1e-6),
-    small_cfg(system=SystemKind.NONLOCAL_SIGMA, law=DECAY, grid=RectGrid(13, 16),
-              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.1),
-], ids=["rect_nonlocal_t", "shadow_tau", "full_rd", "radial_dirichlet", "nonlocal_sigma"])
-def test_advance_matches_step_loop(cfg, monkeypatch):
-    # advance() carries each step's max/min into the next; step() recomputes them
+BALL_DECAY = EvolutionLaw.exp_decay(0.1, 3)
+SPIKE = InitSpec(InitKind.SPIKY, delta=0.8, lam=0.1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("cfg, verdict", [
+    (small_cfg(system=SystemKind.NONLOCAL_T, grid=RectGrid(14, 11), law=DECAY,
+               init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.1),
+     Verdict.HORIZON_REACHED),
+    (small_cfg(system=SystemKind.SHADOW_TAU, params=Parameters(p=3, q=2, r=1, s=2, tau=0.1),
+               law=DECAY, grid=RectGrid(11, 14), eta0=0.7,
+               init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.2),
+     Verdict.BLOW_UP),
+    (small_cfg(system=SystemKind.FULL_RD,
+               params=Parameters(p=3, q=2, r=1, s=2, D1=0.01, D2=1.0, tau=0.01),
+               law=DECAY, grid=RectGrid(17, 13), v0=2.0,
+               init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.05),
+     Verdict.HORIZON_REACHED),
+    (small_cfg(system=SystemKind.NONLOCAL_T, params=Parameters(p=4, q=4, r=2, s=1),
+               law=EvolutionLaw.static(3), grid=RadialGrid(3, 65, outer_bc="dirichlet"),
+               init=InitSpec(InitKind.SPIKY, delta=0.8, lam=0.1), dt=5e-4,
+               end_time=0.01, quench_threshold=1e-6),
+     Verdict.HORIZON_REACHED),
+    (small_cfg(system=SystemKind.NONLOCAL_SIGMA, law=DECAY, grid=RectGrid(13, 16),
+               init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.1),
+     Verdict.HORIZON_REACHED),
+    (small_cfg(law=BALL_DECAY, grid=RadialGrid(3, 33), init=SPIKE, end_time=0.01,
+               quench_threshold=1e-6),
+     Verdict.HORIZON_REACHED),
+    (small_cfg(system=SystemKind.SHADOW_TAU, params=Parameters(p=3, q=2, r=1, s=2, tau=0.1),
+               law=BALL_DECAY, grid=RadialGrid(3, 33), eta0=0.7, init=SPIKE,
+               end_time=0.01, quench_threshold=1e-6),
+     Verdict.HORIZON_REACHED),
+    (small_cfg(law=EvolutionLaw.static(3), grid=RadialGrid(3, 9), init=SPIKE, dt=5e-3,
+               end_time=30.0, quench_threshold=1e-3),
+     Verdict.QUENCH),
+    (small_cfg(init=InitSpec(InitKind.COSINE_PLUS, c=2.0), blowup_threshold=math.inf,
+               end_time=1e9),
+     Verdict.NON_FINITE),
+], ids=["rect_nonlocal_t", "shadow_tau", "full_rd", "radial_dirichlet", "nonlocal_sigma",
+        "ball_nonlocal_sigma", "ball_shadow_tau", "ball_quench", "overflow"])
+def test_advance_matches_step_loop(cfg, verdict, monkeypatch):
+    # advance() carries each step's max and a lower bound on its min into the
+    # next; step() takes both exactly on every call
     states = []
 
     class Recorded(RunState):
@@ -697,14 +733,43 @@ def test_advance_matches_step_loop(cfg, monkeypatch):
     ref = _step_loop(cfg)
     assert run.steps == ref.steps > 10
     assert run.clock == ref.clock
-    assert run.verdict is ref.verdict
+    assert run.verdict is ref.verdict is verdict
     assert report.verdict is ref.verdict
     event = (solver._clocks(cfg, ref.clock)
              if ref.verdict in (Verdict.BLOW_UP, Verdict.QUENCH) else (None, None))
     assert (report.event_time_t, report.event_time_sigma) == event
-    assert np.array_equal(run.u, ref.u)
+    assert run.u.tobytes() == ref.u.tobytes()
     assert np.array_equal(run.aux, ref.aux)
-    assert np.array_equal(snaps["final"].values, ref.u)
+    assert snaps["final"].values.tobytes() == ref.u.tobytes()
+
+
+def _one_tall_node(shape, low, high):
+    u = np.full(shape, low)
+    u[shape[0] // 2, shape[1] // 2] = high
+    return u
+
+
+DIRICHLET_BALL = small_cfg(law=EvolutionLaw.static(3),
+                           grid=RadialGrid(3, 33, outer_bc="dirichlet"), blowup_threshold=1e3)
+
+
+@pytest.mark.parametrize("cfg, u0", [
+    # the guard binds at the tall node's neighbours, and low + dt*min du (min
+    # du is the tall node's) falls below zero: the step takes the exact minimum
+    (small_cfg(), _one_tall_node((9, 9), 0.01, 3.0)),
+    # the pinned outer node holds the minimum while every rate is positive
+    (DIRICHLET_BALL, np.full(DIRICHLET_BALL.grid.shape, 2.0)),
+], ids=["rect_tall_node", "ball_dirichlet_growth"])
+def test_step_carries_the_max_and_a_positive_lower_bound_on_the_min(cfg, u0):
+    # _step driven as advance() drives it, from u0
+    ctx = solver._Ctx(cfg)
+    state = RunState(u=u0.copy(), aux=None, clock=0.0)
+    sup, low = float(u0.max()), float(u0.min())
+    while state.verdict is None:
+        sup, low = solver._step(ctx, state, sup, low)
+        assert sup == state.u.max()
+        assert 0.0 < low <= state.u.min()
+    assert state.verdict is not Verdict.NON_FINITE
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
