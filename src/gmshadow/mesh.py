@@ -11,6 +11,7 @@ N*u_RR(0) at the origin, and is exact on quadratics.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -18,6 +19,12 @@ import numpy as np
 
 Stencil = Callable[[np.ndarray], np.ndarray]
 Resolvent = Callable[[np.ndarray, float], np.ndarray]
+
+
+def _check_integer(name: str, value) -> None:
+    """A grid size is an integer, not a float or a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,6 +38,8 @@ class RectGrid:
     ny: int
 
     def __post_init__(self) -> None:
+        _check_integer("nx", self.nx)
+        _check_integer("ny", self.ny)
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"need nx, ny >= 3, got {self.nx}x{self.ny}")
 
@@ -166,6 +175,7 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2, 3):
             raise ValueError(f"ambient dimension must be 1, 2 or 3, got {self.dim}")
+        _check_integer("M", self.M)
         if self.M < 3:
             raise ValueError(f"need M >= 3 nodes, got {self.M}")
         if self.outer_bc not in ("neumann", "dirichlet"):
@@ -190,8 +200,9 @@ class RadialGrid:
     def cell_volumes(self) -> np.ndarray:
         """R^{N}-measure of the dual cells [R_i - h/2, R_i + h/2] ∩ [0,1].
 
-        Sums exactly to 1, so these are also the normalised quadrature
-        weights for the ball average with weight N*R^(N-1).
+        They sum to 1 up to rounding (0.9999999999999754 for N=3, M=512),
+        so they are also the normalised quadrature weights for the ball
+        average with weight N*R^(N-1).
         """
         rf = np.minimum(self.R + self.h / 2, 1.0)
         rb = np.maximum(self.R - self.h / 2, 0.0)
@@ -282,18 +293,60 @@ def laplacian(f: Field) -> Field:
 
 
 def mean(f: Field, power: float = 1.0) -> float:
-    """Domain average (1/|Omega|) int f^power, exact for constants.
+    """Domain average (1/|Omega|) int f^power by the grid's quadrature.
 
     Rectangle: tensor trapezoid.  Ball: cell-volume weights for the measure
-    N*R^(N-1) dR, normalised so mean of 1 is exactly 1.
+    N*R^(N-1) dR.  Both weight sets are normalised to sum to 1 up to
+    rounding.  This is the solver's kernel, so a field's mean here equals
+    the solver's mean of it bit for bit.
     """
     u = f.values
     if power < 0.0 and np.any(u <= 0.0):
         raise ValueError("negative power requires strictly positive values")
-    w = f.grid.quad_weights()
-    if power == 1.0:
-        return float(np.sum(w * u))
-    return float(np.sum(w * np.power(u, power)))
+    return _weighted_sum(f.grid.quad_weights().ravel(), _fast_pow(u, power).ravel())
+
+
+# _weighted_sum's block length.  OpenBLAS splits a dot product over more
+# than 10,000 entries across its thread pool, so the sum would depend on the
+# thread count, and handing a 16,384-entry dot to a second thread can cost
+# far more than the dot itself.  A block of 8,192 stays on the calling
+# thread; on 128x128 the two blocks add up to what two threads compute.
+_DOT_BLOCK = 8192
+
+
+def _weighted_sum(w: np.ndarray, x: np.ndarray) -> float:
+    """sum(w*x) of two flat arrays, the one weighted-mean kernel: dot
+    products over blocks of _DOT_BLOCK entries, summed left to right (a
+    single np.dot when there are at most _DOT_BLOCK entries)."""
+    if w.size <= _DOT_BLOCK:
+        return float(np.dot(w, x))
+    m = float(np.dot(w[:_DOT_BLOCK], x[:_DOT_BLOCK]))
+    for i in range(_DOT_BLOCK, w.size, _DOT_BLOCK):
+        m += float(np.dot(w[i : i + _DOT_BLOCK], x[i : i + _DOT_BLOCK]))
+    return m
+
+
+def _fast_pow(u: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """u**e with multiply chains for small integer exponents (hot path).
+
+    u itself when e = 1; otherwise the power is written into `out` when one
+    is given, and into a fresh array when not."""
+    if e == 1.0:
+        return u
+    if e == 2.0:
+        return np.multiply(u, u, out=out)
+    if e == 3.0:
+        cube = np.multiply(u, u, out=out)
+        return np.multiply(cube, u, out=cube)
+    if e == 4.0:
+        sq = np.multiply(u, u, out=out)
+        return np.multiply(sq, sq, out=sq)
+    if e == 0.0:
+        if out is None:
+            return np.ones_like(u)
+        out.fill(1.0)
+        return out
+    return np.power(u, e, out=out)
 
 
 def sup_norm(f: Field) -> float:
@@ -317,10 +370,15 @@ def write_field_csv(f: Field, path: str) -> None:
 
 
 def read_field_csv(path: str, grid: Grid) -> Field:
-    """Inverse of write_field_csv for a known grid."""
+    """Inverse of write_field_csv for a known grid; a rectangle file whose
+    "nx,ny" header is not the grid's raises ValueError."""
     with open(path) as fh:
         lines = fh.read().strip().splitlines()
     if isinstance(grid, RectGrid):
+        if lines[0] != f"{grid.nx},{grid.ny}":
+            raise ValueError(
+                f"{path} has header nx,ny = {lines[0]}, the grid is {grid.nx},{grid.ny}"
+            )
         vals = np.array([float(x) for x in lines[1:]])
         return Field(grid, vals.reshape(grid.shape))
     vals = np.array([float(line.split(",")[1]) for line in lines[1:]])

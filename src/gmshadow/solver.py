@@ -25,9 +25,9 @@ denom = (avg u^r)^gamma, eta^q or v^q.  The inhibitors reuse the same a.
 The rate is formed in the Laplacian's fresh output array, in that order,
 and a multiply or divide by a coefficient equal to 1.0 is skipped.  The
 sigma-clock families stop at evolution.clock_end.  Every weighted mean is
-_Ctx.average: BLAS dot products over blocks of at most 8,192 entries,
-summed left to right, so no dot is split across BLAS threads and the mean
-is the same at every thread count (mesh.mean is a separate pairwise sum).
+_Ctx.average, on the kernel mesh.mean uses: BLAS dot products over blocks
+of at most 8,192 entries, summed left to right, so no dot is split across
+BLAS threads and the mean is the same at every thread count.
 
 The effective step is min(dt, h^2/(4 D_eff), relative growth clamp); the
 clamp keeps each update below ~10% of the solution scale so runs terminate
@@ -107,17 +107,11 @@ from .evolution import (
     t_of_sigma,
 )
 from .initdata import InitSpec, _check_fits, build_initial
-from .mesh import Field, Grid, RadialGrid, RectGrid
+from .mesh import Field, Grid, RadialGrid, RectGrid, _weighted_sum
+from .mesh import _fast_pow as fast_pow
 from .params import Parameters, derive_indices
 
 POSITIVITY_FLOOR = 1e-12
-
-# _Ctx.average's block length.  OpenBLAS splits a dot product over more
-# than 10,000 entries across its thread pool, so the sum would depend on the
-# thread count, and handing a 16,384-entry dot to a second thread can cost
-# far more than the dot itself.  A block of 8,192 stays on the calling
-# thread; on 128x128 the two blocks add up to what two threads compute.
-_DOT_BLOCK = 8192
 
 
 class SystemKind(Enum):
@@ -223,29 +217,6 @@ class TimeSeries:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def fast_pow(u: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
-    """u**e with multiply chains for small integer exponents (hot path).
-
-    u itself when e = 1; otherwise the power is written into `out` when one
-    is given, and into a fresh array when not."""
-    if e == 1.0:
-        return u
-    if e == 2.0:
-        return np.multiply(u, u, out=out)
-    if e == 3.0:
-        cube = np.multiply(u, u, out=out)
-        return np.multiply(cube, u, out=cube)
-    if e == 4.0:
-        sq = np.multiply(u, u, out=out)
-        return np.multiply(sq, sq, out=sq)
-    if e == 0.0:
-        if out is None:
-            return np.ones_like(u)
-        out.fill(1.0)
-        return out
-    return np.power(u, e, out=out)
-
-
 def _max(x: np.ndarray) -> float:
     """x.max() as a float, read at x.argmax(): a NaN still propagates, as
     argmax returns the first NaN, and only the sign of a zero maximum can
@@ -327,17 +298,9 @@ class _Ctx:
         return scale_factor(self.cfg.law, clock) ** 2
 
     def average(self, u: np.ndarray, power: float) -> float:
-        """The quadrature average of u^power, the solver's one weighted mean:
-        dot products over blocks of _DOT_BLOCK entries, summed left to right
-        (a single np.dot when u has at most _DOT_BLOCK entries).  u^power is
-        left in self.ur."""
-        w, x = self.w, fast_pow(u, power, self.ur).ravel()
-        if w.size <= _DOT_BLOCK:
-            return float(np.dot(w, x))
-        m = float(np.dot(w[:_DOT_BLOCK], x[:_DOT_BLOCK]))
-        for i in range(_DOT_BLOCK, w.size, _DOT_BLOCK):
-            m += float(np.dot(w[i : i + _DOT_BLOCK], x[i : i + _DOT_BLOCK]))
-        return m
+        """The quadrature average of u^power by mesh.mean's kernel, so equal
+        to mesh.mean bit for bit; u^power is left in self.ur."""
+        return _weighted_sum(self.w, fast_pow(u, power, self.ur).ravel())
 
     def nonlocal_mean(self, u: np.ndarray, power: float) -> float:
         m = self.average(u, power)
@@ -450,18 +413,13 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     return du, daux, v_low
 
 
-def _field_dt_limit(dt: float, vals, sup: float, low: float, dvals, mag=None) -> float:
-    """dt limited by the relative growth clamp and the positivity guard, which
-    keeps a positive explicit-Euler update of vals (maximum sup, any lower
-    bound low) comfortably positive; see _guarded_dt."""
-    return _guarded_dt(dt, vals, sup, low, dvals, mag)[0]
-
-
 def _guarded_dt(
     dt: float, vals, sup: float, low: float, dvals, mag=None
 ) -> tuple[float, float, float]:
-    """_field_dt_limit's dt, the lower bound on vals it last tested and
-    min dvals.
+    """dt limited by the relative growth clamp and the positivity guard, which
+    keeps a positive explicit-Euler update of vals (maximum sup, any lower
+    bound low) comfortably positive; also the lower bound on vals it last
+    tested and min dvals.
 
     max |dvals| is taken as the larger of max dvals and -min dvals (NaN
     when any entry is).  The guard min(vals/(|dvals| + 1e-300)) is at least
@@ -496,7 +454,7 @@ def _dt_effective(
     if ctx.shadow:
         dt = min(dt, 0.45 * aux / (abs(daux) + 1e-300))
     elif ctx.full_rd:
-        dt = _field_dt_limit(dt, aux, _max(aux), v_low, daux, ctx.mag)
+        dt = _guarded_dt(dt, aux, _max(aux), v_low, daux, ctx.mag)[0]
     return dt * cfg.dt_safety, low, dmin
 
 

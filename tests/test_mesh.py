@@ -299,6 +299,9 @@ def test_field_csv_roundtrip(tmp_path):
     write_field_csv(f, str(path))
     back = read_field_csv(str(path), g)
     assert np.array_equal(back.values, f.values)
+    # the same 24 values would fit a 4x6 grid, laid out in the wrong shape
+    with pytest.raises(ValueError, match=r"header nx,ny = 6,4, the grid is 4,6"):
+        read_field_csv(str(path), RectGrid(4, 6))
 
     gr = RadialGrid(3, 8)
     fr = Field(gr, rng.uniform(0, 1, gr.shape))
@@ -308,3 +311,17 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(back2.values, fr.values)
     header = path2.read_text().splitlines()[0]
     assert header == "R,value"
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (lambda v: RectGrid(v, 10), "nx", 10.0),
+    (lambda v: RectGrid(10, v), "ny", 10.0),
+    (lambda v: RectGrid(v, 10), "nx", True),
+    (lambda v: RadialGrid(3, v), "M", 40.0),
+    (lambda v: RadialGrid(3, v), "M", True),
+], ids=["nx-float", "ny-float", "nx-bool", "M-float", "M-bool"])
+def test_grid_sizes_must_be_integers(make, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        make(value)
+    # numpy integers are integers
+    assert make(np.int64(10)).shape in ((10, 10), (10,))

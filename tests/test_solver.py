@@ -1,5 +1,8 @@
+import collections
 import copy
 import dataclasses
+import functools
+import inspect
 import math
 import os
 import pickle
@@ -37,7 +40,7 @@ from gmshadow import (
     sigma_of_t,
     step,
 )
-from gmshadow import solver
+from gmshadow import cli, mesh, solver
 from gmshadow.evolution import clock_end
 from gmshadow.initdata import build_initial
 from gmshadow.solver import RunState, fast_pow
@@ -984,18 +987,20 @@ def test_step_ends_a_nan_inhibitor_v_non_finite_before_stepping():
 # ------------------------------------------------- the mean and the rate
 
 _PRINT_EXP1_AVERAGES = """
-from gmshadow import cli, solver
+from gmshadow import cli, mesh, solver
 from gmshadow.initdata import build_initial
 cfg = cli.PRESETS["exp1"]()["static"]
-u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p).values
+u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p)
 ctx = solver._Ctx(cfg)
-print([repr(ctx.average(u0, e)) for e in (1.0, 3.0, -1.0)])
+print([repr(ctx.average(u0.values, e)) for e in (1.0, 3.0, -1.0)])
+print([repr(mesh.mean(u0, e)) for e in (1.0, 3.0, -1.0)])
 """
 
 
 def test_average_does_not_depend_on_the_blas_thread_count():
-    # the solver's mean of the 128x128 exp1/static field; OpenBLAS reads its
-    # thread count when numpy loads, so each count gets a fresh process
+    # the solver's and mesh.mean's means of the 128x128 exp1/static field;
+    # OpenBLAS reads its thread count when numpy loads, so each count gets a
+    # fresh process
     src = str(Path(gmshadow.__file__).resolve().parents[1])
     printed = []
     for threads in ("1", "2"):
@@ -1015,7 +1020,34 @@ def test_average_is_one_dot_product_up_to_the_block_size(grid):
     w = grid.quad_weights().ravel()
     ctx = solver._Ctx(cfg)
     for e in (1.0, 3.0, -1.0, 1.4):
-        assert ctx.average(u, e) == float(np.dot(w, fast_pow(u, e).ravel()))
+        dot = float(np.dot(w, fast_pow(u, e).ravel()))
+        assert ctx.average(u, e) == dot
+        assert mesh.mean(Field(grid, u), e) == dot
+
+
+def _preset_initial_fields():
+    """Each distinct initial field of the presets, with a config starting from it."""
+    fields = {}
+    for name, make in cli.PRESETS.items():
+        for run, cfg in make().items():
+            u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p).values
+            key = (cfg.grid, u0.tobytes())
+            fields.setdefault(key, pytest.param(cfg, u0, id=f"{name}/{run}"))
+    return list(fields.values())
+
+
+@pytest.mark.parametrize("e", [0.5, 1.0, 1.4, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("cfg, u0", _preset_initial_fields())
+def test_mesh_mean_is_the_solver_average_on_every_preset_field(cfg, u0, e):
+    assert mesh.mean(Field(cfg.grid, u0), e) == solver._Ctx(cfg).average(u0, e)
+
+
+def test_an_exp1_run_samples_mesh_mean_as_its_first_mean_u():
+    cfg = dataclasses.replace(cli.PRESETS["exp1"]()["static"], end_time=1e-3)
+    u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p)
+    series, _, _ = advance(cfg)
+    assert series.t[0] == 0.0
+    assert series.mean_u[0] == mesh.mean(u0, 1.0)
 
 
 UNCHANGED_CASES = [
@@ -1054,3 +1086,49 @@ def test_rhs_and_step_leave_the_callers_u_unchanged(system, params, grid):
     step(cfg, state)
     assert state.steps == 2 and state.u is not held
     assert np.array_equal(held, kept)
+
+
+# --------------------------------------- what perfbench's tracer charges
+
+
+def _public_mesh_functions():
+    """mesh's public module-level functions, selected as perfbench's tracer
+    selects a layer's entry points."""
+    return {name: obj for name, obj in vars(mesh).items()
+            if not name.startswith("_") and inspect.isfunction(obj)
+            and obj.__module__ == mesh.__name__}
+
+
+@pytest.mark.parametrize("system", list(SystemKind), ids=lambda k: k.value)
+def test_no_public_mesh_function_runs_per_step(system, monkeypatch):
+    # the tracer times every public mesh function, wherever it is bound, as
+    # the mesh layer; one called per step would charge solver time to mesh
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    functions = _public_mesh_functions()
+    assert "mean" in functions and "laplacian" in functions
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "gmshadow" or name.startswith("gmshadow.")]
+    for name, fn in functions.items():
+        wrapper = counted(name, fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    cfg = small_cfg(system=system, params=TAU, law=DECAY, dt=1e-3, sample_stride=5)
+    counts, samples = [], []
+    for end_time in (0.01, 0.03):
+        calls.clear()
+        series, report, _ = advance(dataclasses.replace(cfg, end_time=end_time))
+        assert report.verdict is Verdict.HORIZON_REACHED
+        counts.append(dict(calls))
+        samples.append(len(series))
+    assert samples[0] < samples[1]
+    assert counts[0] == counts[1]
