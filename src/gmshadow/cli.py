@@ -220,6 +220,8 @@ _SCHEMA = (
     _Key("init", "lambda", _FLOAT, shown=_spiky, dest="lam"),
 )
 _FLAGS = tuple(k for k in _SCHEMA if k.flag)
+# convert-time's options, which build its law as [evolution] does
+_LAW_KEYS = tuple(k for k in _SCHEMA if k.section == "evolution")
 
 
 def _sections(cfg: RunConfig) -> dict:
@@ -470,11 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     ap_b.add_argument("configpath")
 
     ap_c = sub.add_parser("convert-time", help="convert between t and sigma clocks")
-    ap_c.add_argument("--evolution", required=True,
-                      choices=[k.value for k in LawKind])
-    ap_c.add_argument("--beta", type=float, default=0.0)
-    ap_c.add_argument("--m", type=float, default=1.0)
-    ap_c.add_argument("--dimension", type=int, default=2)
+    for k in _LAW_KEYS:
+        ap_c.add_argument("--" + k.key, dest=k.attr, type=k.conv[0], default=k.default)
     grp = ap_c.add_mutually_exclusive_group(required=True)
     grp.add_argument("--t", type=float)
     grp.add_argument("--sigma", type=float)
@@ -499,8 +498,9 @@ def main(argv: list[str] | None = None) -> int:
             cfg = parse_config(args.configpath)
             print(bounds_report_text(cfg))
             return 0
-        law = EvolutionLaw(LawKind(args.evolution), beta=args.beta, m=args.m,
-                           dimension=args.dimension)
+        kw = {k.attr: getattr(args, k.attr) for k in _LAW_KEYS
+              if getattr(args, k.attr) is not None}
+        law = _build(EvolutionLaw, "evolution", kw, "convert-time")
         if args.t is not None:
             print(f"sigma = {sigma_of_t(law, args.t)!r}")
         else:

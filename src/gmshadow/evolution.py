@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .params import _require_finite
+
 
 class LawKind(Enum):
     STATIC = "static"
@@ -56,10 +58,7 @@ class EvolutionLaw:
     def __post_init__(self) -> None:
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
-        for name in ("beta", "m"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {name}={value}")
+        _require_finite(self, ("beta", "m"))
         if self.kind is not LawKind.STATIC and self.beta <= 0.0:
             raise ValueError(f"{self.kind.value} requires beta > 0, got {self.beta}")
         if self.kind is LawKind.EXP_DECAY and self.beta >= 1.0 / self.dimension:

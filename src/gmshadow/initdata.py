@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .mesh import Field, Grid, RadialGrid, RectGrid
+from .params import _require_finite
 
 
 class InitKind(Enum):
@@ -33,10 +33,7 @@ class InitSpec:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("c", "delta", "lam"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {name}={value}")
+        _require_finite(self, ("c", "delta", "lam"))
         if self.kind is InitKind.COSINE_PLUS and self.c <= 1.0:
             raise ValueError(f"cosine profile needs c > 1 for positivity, got c={self.c}")
         if self.kind is InitKind.CONSTANT and self.c <= 0.0:

@@ -370,8 +370,12 @@ def write_field_csv(f: Field, path: str) -> None:
 
 
 def read_field_csv(path: str, grid: Grid) -> Field:
-    """Inverse of write_field_csv for a known grid; a rectangle file whose
-    "nx,ny" header is not the grid's raises ValueError."""
+    """Inverse of write_field_csv for a known grid.  ValueError, naming the
+    path, for a rectangle file whose "nx,ny" header is not the grid's and for
+    a radial file whose header is not "R,value" or whose R column is not the
+    grid's R (compared exactly, as it was written by repr).  The R column is
+    the same on every ball dimension, so a file from a ball of another
+    dimension with the same M cannot be told apart."""
     with open(path) as fh:
         lines = fh.read().strip().splitlines()
     if isinstance(grid, RectGrid):
@@ -381,5 +385,12 @@ def read_field_csv(path: str, grid: Grid) -> Field:
             )
         vals = np.array([float(x) for x in lines[1:]])
         return Field(grid, vals.reshape(grid.shape))
-    vals = np.array([float(line.split(",")[1]) for line in lines[1:]])
-    return Field(grid, vals)
+    if lines[0] != "R,value":
+        raise ValueError(f"{path} has header {lines[0]}, not the radial grid's R,value")
+    rows = [line.split(",") for line in lines[1:]]
+    if [float(row[0]) for row in rows] != grid.R.tolist():
+        raise ValueError(
+            f"{path} has an R column of {len(rows)} nodes that is not the grid's, "
+            f"M = {grid.M}"
+        )
+    return Field(grid, np.array([float(row[1]) for row in rows]))

@@ -13,6 +13,14 @@ import math
 from dataclasses import dataclass, fields
 
 
+def _require_finite(obj, names) -> None:
+    """Raise ValueError naming the first attribute in `names` that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name}={value}")
+
+
 @dataclass(frozen=True)
 class Parameters:
     """Kinetic exponents and physical constants of the two-species model.
@@ -30,10 +38,7 @@ class Parameters:
     tau: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {f.name}={value}")
+        _require_finite(self, (f.name for f in fields(self)))
         if self.s <= -1.0:
             raise ValueError(f"s must exceed -1 (gamma finite), got s={self.s}")
         if self.r <= 0.0:

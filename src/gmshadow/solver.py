@@ -25,9 +25,9 @@ denom = (avg u^r)^gamma, eta^q or v^q.  The inhibitors reuse the same a.
 The rate is formed in the Laplacian's fresh output array, in that order,
 and a multiply or divide by a coefficient equal to 1.0 is skipped.  The
 sigma-clock families stop at evolution.clock_end.  Every weighted mean is
-_Ctx.average, on the kernel mesh.mean uses: BLAS dot products over blocks
-of at most 8,192 entries, summed left to right, so no dot is split across
-BLAS threads and the mean is the same at every thread count.
+_Ctx.average or mesh.mean, one kernel: BLAS dot products over blocks of at
+most 8,192 entries, summed left to right, so no dot is split across BLAS
+threads and the mean is the same at every thread count.
 
 The effective step is min(dt, h^2/(4 D_eff), relative growth clamp); the
 clamp keeps each update below ~10% of the solution scale so runs terminate
@@ -65,8 +65,7 @@ aux + dt*daux in daux's fresh array.
 _step alone decides a run's verdict and ends it at the terminal clock,
 which advance() samples last; the report takes that verdict and, for
 BlowUp and Quench, the event times from that sample, and analysis only
-refines a BlowUp.  eta0 defaults to the ODE balance (b/a avg u0^r)^(1/(s+1))
-at clock 0; v0 defaults to 2.0, which is not balanced.
+refines a BlowUp.
 
 The per-run machinery lives in a _Ctx: indices, quadrature weights,
 Laplacian, inhibitor solve, coefficient exponent and clock end, the family
@@ -100,6 +99,7 @@ from .analysis import BlowUpReport, Verdict, _refine_blowup
 from .evolution import (
     EvolutionLaw,
     LawKind,
+    _require_nonnegative,
     clock_coefficients,
     clock_end,
     scale_factor,
@@ -107,7 +107,7 @@ from .evolution import (
     t_of_sigma,
 )
 from .initdata import InitSpec, _check_fits, build_initial
-from .mesh import Field, Grid, RadialGrid, RectGrid, _weighted_sum
+from .mesh import Field, Grid, RadialGrid, RectGrid, _weighted_sum, mean
 from .mesh import _fast_pow as fast_pow
 from .params import Parameters, derive_indices
 
@@ -240,6 +240,29 @@ class RunState:
     # step()'s context; rebuilt whenever the config passed to step() changes
     _ctx: _Ctx | None = field(default=None, init=False, compare=False, repr=False)
 
+    @classmethod
+    def initial(cls, config: RunConfig) -> RunState:
+        """The clock-0 state every run starts from: u0 from config.init, eta0
+        or else the ODE balance (b/a avg u0^r)^(1/(s+1)), v0 or else 2.0 (not
+        balanced).  Raises ValueError unless u0 lies between the thresholds."""
+        p = config.params
+        u0 = build_initial(config.init, config.grid, p=p.p)
+        sup, low = _max(u0.values), _min(u0.values)
+        high, quench = config.blowup_threshold, config.quench_threshold
+        if high <= sup:
+            raise ValueError(f"blowup_threshold {high} must exceed initial sup {sup}")
+        if quench >= low:
+            raise ValueError(f"quench_threshold {quench} must be below initial min {low}")
+        aux = None
+        if config.system is SystemKind.SHADOW_TAU:
+            aux = None if config.eta0 is None else float(config.eta0)
+            if aux is None:
+                a, b = clock_coefficients(config.law, 0.0, 0.0, config.system.t_native)
+                aux = (b / a * mean(u0, p.r)) ** (1.0 / (p.s + 1.0))
+        elif config.system is SystemKind.FULL_RD:
+            aux = np.full(config.grid.shape, 2.0 if config.v0 is None else config.v0)
+        return cls(u=u0.values, aux=aux, clock=0.0)
+
 
 class _Ctx:
     """Per-run machinery and the step workspace: weights, Laplacian,
@@ -342,9 +365,7 @@ def _check_state(cfg: RunConfig, u: np.ndarray, aux, clock: float) -> None:
         raise ValueError(f"u has shape {u.shape}, the grid {cfg.grid.shape}")
     if u.dtype.kind != "f":
         raise ValueError(f"u has dtype {u.dtype}, not a float dtype")
-    # written so that NaN fails too
-    if not clock >= 0.0:
-        raise ValueError(f"clock must be a nonnegative number, got {clock}")
+    _require_nonnegative("clock", clock)
     kind = cfg.system
     if kind is SystemKind.SHADOW_TAU:
         fits, want = isinstance(aux, numbers.Real), "a float eta"
@@ -560,30 +581,12 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     """
     ctx = _Ctx(config)
     p = config.params
-    u0 = build_initial(config.init, config.grid, p=p.p)
-    aux: float | np.ndarray | None = None
-    if config.system is SystemKind.SHADOW_TAU:
-        if config.eta0 is not None:
-            aux = float(config.eta0)
-        else:
-            a, b = ctx.coefficients(0.0)
-            aux = (b / a * ctx.average(u0.values, p.r)) ** (1.0 / (p.s + 1.0))
-    elif config.system is SystemKind.FULL_RD:
-        aux = np.full(config.grid.shape, 2.0 if config.v0 is None else config.v0)
-    sup, low = _max(u0.values), _min(u0.values)
-    if config.blowup_threshold <= sup:
-        raise ValueError(
-            f"blowup_threshold {config.blowup_threshold} must exceed initial sup {sup}"
-        )
-    if config.quench_threshold >= low:
-        raise ValueError(
-            f"quench_threshold {config.quench_threshold} must be below initial min {low}"
-        )
+    state = RunState.initial(config)
+    sup, low = _max(state.u), _min(state.u)
 
     series = TimeSeries()
     snapshots: dict[str, Field] = {}
     pending = sorted(config.snapshot_times)
-    state = RunState(u=u0.values.copy(), aux=aux, clock=0.0)
 
     def sample(sup: float) -> None:
         t, sigma = _clocks(config, state.clock)

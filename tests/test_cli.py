@@ -1,5 +1,7 @@
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,7 +260,9 @@ def test_cli_convert_time(capsys):
     (EvolutionLaw.exp_decay(0.1, 2), ["--evolution", "exp_decay", "--beta", "0.1"]),
     (EvolutionLaw.logistic(0.1, 1.5, 2),
      ["--evolution", "logistic", "--beta", "0.1", "--m", "1.5"]),
-], ids=["exp_decay", "logistic"])
+    # --evolution defaults to static, as the [evolution] section does
+    (EvolutionLaw.static(2), []),
+], ids=["exp_decay", "logistic", "static_by_default"])
 def test_cli_convert_time_prints_sigma_of_t(law, flags, capsys):
     assert main(["convert-time", *flags, "--t", "1.3"]) == 0
     assert capsys.readouterr().out == f"sigma = {sigma_of_t(law, 1.3)!r}\n"
@@ -271,10 +275,28 @@ def test_cli_convert_time_prints_sigma_of_t(law, flags, capsys):
      "sigma must be a nonnegative number"),
     (["--evolution", "logistic", "--beta", "0.1", "--t", "1.0"],
      "logistic requires m > 0 and m != 1"),
-], ids=["t_nan", "sigma_nan", "logistic_without_m"])
+    (["--evolution", "exp_decay", "--beta", "0.4", "--dimension", "3", "--t", "1.0"],
+     "exp_decay requires beta < 1/N"),
+], ids=["t_nan", "sigma_nan", "logistic_without_m", "exp_decay_too_fast_in_3d"])
 def test_cli_convert_time_rejects_bad_input(argv, message, capsys):
     assert main(["convert-time", *argv]) == 2
     assert message in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_block_is_valid_and_names_every_schema_key(tmp_path):
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    # its ";" annotations are for the reader; the parser takes ";" as a
+    # comment only at the start of a line
+    path = tmp_path / "readme.ini"
+    path.write_text(re.sub(r"\s+;.*", "", block))
+    parse_config(str(path))
+    sections = dict(re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", block, re.S | re.M))
+    for k in cli._SCHEMA:
+        assert re.search(rf"(^|[\s,]){re.escape(k.key)} = ", sections[k.section], re.M), \
+            f"README's config block does not name [{k.section}] {k.key}"
 
 
 def test_cli_bounds_verb(tmp_path, capsys):

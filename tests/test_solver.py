@@ -668,11 +668,9 @@ def test_step_evaluates_rho_once(system, params, monkeypatch):
 
 
 def _step_loop(cfg):
-    """Drive cfg to its verdict through the public step()."""
-    u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p).values
-    aux = {SystemKind.SHADOW_TAU: cfg.eta0,
-           SystemKind.FULL_RD: np.full(cfg.grid.shape, cfg.v0)}.get(cfg.system)
-    state = RunState(u=u0.copy(), aux=aux, clock=0.0)
+    """Drive cfg to its verdict through the public step(), from
+    RunState.initial."""
+    state = RunState.initial(cfg)
     while state.verdict is None:
         step(cfg, state)
     return state
@@ -717,8 +715,19 @@ SPIKE = InitSpec(InitKind.SPIKY, delta=0.8, lam=0.1)
     (small_cfg(init=InitSpec(InitKind.COSINE_PLUS, c=2.0), blowup_threshold=math.inf,
                end_time=1e9),
      Verdict.NON_FINITE),
+    # the default inhibitors: eta0 at the ODE balance, v0 = 2.0
+    (small_cfg(system=SystemKind.SHADOW_TAU, params=Parameters(p=3, q=2, r=1, s=2, tau=0.1),
+               law=DECAY, grid=RectGrid(11, 14),
+               init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.2),
+     Verdict.HORIZON_REACHED),
+    (small_cfg(system=SystemKind.FULL_RD,
+               params=Parameters(p=3, q=2, r=1, s=2, D1=0.01, D2=1.0, tau=0.01),
+               law=DECAY, grid=RectGrid(17, 13),
+               init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.05),
+     Verdict.HORIZON_REACHED),
 ], ids=["rect_nonlocal_t", "shadow_tau", "full_rd", "radial_dirichlet", "nonlocal_sigma",
-        "ball_nonlocal_sigma", "ball_shadow_tau", "ball_quench", "overflow"])
+        "ball_nonlocal_sigma", "ball_shadow_tau", "ball_quench", "overflow",
+        "shadow_tau_balanced_eta0", "full_rd_default_v0"])
 def test_advance_matches_step_loop(cfg, verdict, monkeypatch):
     # advance() carries each step's max and a lower bound on its min into the
     # next; step() takes both exactly on every call
@@ -880,9 +889,7 @@ def test_new_and_replaced_states_have_no_context():
               init=InitSpec(InitKind.COSINE_PLUS, c=2.0)),
 ], ids=["shadow_tau", "full_rd"])
 def test_copied_state_steps_on_bit_identically(cfg, copier):
-    u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p).values
-    aux = cfg.eta0 if cfg.system is SystemKind.SHADOW_TAU else np.full(cfg.grid.shape, cfg.v0)
-    state = RunState(u=u0.copy(), aux=aux, clock=0.0)
+    state = RunState.initial(cfg)
     for _ in range(5):
         step(cfg, state)
     twin = copier(state)
