@@ -189,11 +189,10 @@ def bernoulli_oracle(
     u0_mean: float,
     dt: float = 1e-4,
     sigma_max: float = 50.0,
-    blowup_value: float = 1e10,
 ) -> OracleResult:
     """Integrate F' = -Phi F + Psi F^omega with step-halving error control.
 
-    Uses Euler step doubling with Richardson correction; near divergence the
+    Uses Euler step doubling with Richardson correction; at F >= 1e10 the
     analytic tail F^(1-omega)/((omega-1) Psi) is added to the reported
     blow-up time.  The logistic law is integrated in the t clock (where its
     coefficients are closed-form) and reported in sigma.  The coefficient
@@ -231,7 +230,7 @@ def bernoulli_oracle(
         out_f.append(F)
         if err < scale / 16.0:
             h = min(2.0 * h, dt)
-        if not math.isfinite(F) or F >= blowup_value:
+        if not math.isfinite(F) or F >= 1e10:
             psi = clock_coefficients(law, clock, g, in_t)[1]
             tail = (F ** (1.0 - w) / ((w - 1.0) * psi)
                     if w > 1.0 and math.isfinite(F) else 0.0)
@@ -292,13 +291,12 @@ def detect_blowup(
     p: float,
     threshold: float,
     quench_floor: float = 1e-3,
-    fit_samples: int = 8,
 ) -> BlowUpReport:
     """Classify a sampled sup-norm series and refine the blow-up time.
 
-    BlowUp: first sample at or above threshold is the event, refined by
-    _refine_blowup over the samples before it.  Quench: the first sample
-    at or below the floor is the event.  Bounded otherwise.
+    BlowUp: the first sample at or above threshold is the event.  Quench:
+    the first sample at or below the floor is the event.  Bounded
+    otherwise.  The report is _event_report's.
     """
     sup = np.asarray(series.sup_norm, dtype=float)
     above = np.nonzero(sup >= threshold)[0]
@@ -308,33 +306,32 @@ def detect_blowup(
         verdict = Verdict.QUENCH
         if above.size == 0:
             return BlowUpReport(Verdict.BOUNDED)
-    i = int(above[0])
+    return _event_report(verdict, series, p, int(above[0]))
+
+
+def _event_report(verdict: Verdict, series, p: float, i: int) -> BlowUpReport:
+    """The report of an event at sample i: its t and sigma and, for a
+    BlowUp, the extrapolation and rate from the non-NaN samples before it.
+    Those (>= 5 required) are fitted with sup^-(p-1) linear in sigma, whose
+    root is the extrapolated blow-up."""
     rep = BlowUpReport(verdict, float(series.t[i]), float(series.sigma[i]))
-    if verdict is Verdict.BLOW_UP:
-        _refine_blowup(rep, series, p, i, fit_samples)
-    return rep
-
-
-def _refine_blowup(rep: BlowUpReport, series, p: float, i: int, fit_samples: int = 8) -> None:
-    """Fill rep's extrapolation and rate from the non-NaN samples before index
-    i, the event: the last fit_samples (>= 5 required) are fitted with
-    sup^-(p-1) linear in sigma, whose root is the extrapolated blow-up."""
     sup = np.asarray(series.sup_norm[:i], dtype=float)
     keep = ~np.isnan(sup)
-    if np.count_nonzero(keep) < 5:
-        return
+    if verdict is not Verdict.BLOW_UP or np.count_nonzero(keep) < 5:
+        return rep
     sig = np.asarray(series.sigma[:i], dtype=float)[keep]
-    fitted = _linearized_root(sig, sup[keep], p, fit_samples)
+    fitted = _linearized_root(sig, sup[keep], p)
     if fitted is not None:
         rep.extrapolated_sigma, rep.extrapolated_sigma_err = fitted
         rep.fitted_rate_exponent = fit_rate(series, fitted[0], sigma_star_err=fitted[1])
+    return rep
 
 
-def _linearized_root(sig, sup, p, fit_samples):
-    """Zero crossing of sup^-(p-1) vs sigma over the last pre-threshold
-    samples, widening the window when the trailing samples are too tightly
-    clustered in sigma for a stable fit."""
-    for k in (fit_samples, 4 * fit_samples, 16 * fit_samples, sup.size):
+def _linearized_root(sig, sup, p):
+    """Zero crossing of sup^-(p-1) vs sigma over the last 8 pre-threshold
+    samples, widening the window to 32, 128 and then all of them when the
+    trailing samples are too tightly clustered in sigma for a stable fit."""
+    for k in (8, 32, 128, sup.size):
         x = sig[-k:]
         y = sup[-k:] ** (-(p - 1.0))
         if np.ptp(x) <= 0.0:
@@ -394,9 +391,7 @@ class BlowUpLocation:
     envelope_exponent: float | None
 
 
-def locate_blowup(
-    snapshot: Field, fit_range: tuple[float | None, float] = (None, 0.5)
-) -> BlowUpLocation:
+def locate_blowup(snapshot: Field) -> BlowUpLocation:
     """Argmax node of a radial snapshot and the exponent e of u ~ C R^-e
     fitted over R in [2h, 0.5] (log-log least squares)."""
     grid = snapshot.grid
@@ -404,9 +399,8 @@ def locate_blowup(
         raise TypeError("locate_blowup expects a radial snapshot")
     u = snapshot.values
     i = int(np.argmax(u))
-    lo = fit_range[0] if fit_range[0] is not None else 2.0 * grid.h
     R = grid.R
-    mask = (R >= lo) & (R <= fit_range[1]) & (u > 0.0)
+    mask = (R >= 2.0 * grid.h) & (R <= 0.5) & (u > 0.0)
     expo = None
     if mask.sum() >= 3:
         x = np.log(R[mask])

@@ -136,11 +136,13 @@ PRESETS = {
 # ---------------------------------------------------------- config schema
 
 # (parse, format) pairs
-_FLOAT = (float, repr)
-_INT = (int, repr)
+# numbers are written as Python floats and ints, whose repr parses back
+# (numpy 2's repr of its scalars does not)
+_FLOAT = (float, lambda v: repr(float(v)))
+_INT = (int, lambda v: repr(int(v)))
 _STR = (str, str)
 _TIMES = (lambda raw: tuple(float(x) for x in raw.split(",") if x.strip()),
-          lambda ts: ",".join(repr(t) for t in ts))
+          lambda ts: ",".join(repr(float(t)) for t in ts))
 
 
 def _enum(kind):
@@ -347,13 +349,13 @@ def _bound_block(cfg: RunConfig) -> list[str]:
     rep = bernoulli_bound(cfg.law, idx, mean(u0, 1.0))
     lines += [
         f"applicable = {rep.applicable}",
-        f"integral = {rep.integral!r}",
-        f"mean_threshold = {rep.mean_threshold!r}",
+        f"integral = {float(rep.integral)!r}",
+        f"mean_threshold = {float(rep.mean_threshold)!r}",
     ]
     if rep.sigma_upper is not None:
-        lines.append(f"sigma_upper = {rep.sigma_upper!r}")
+        lines.append(f"sigma_upper = {float(rep.sigma_upper)!r}")
         if rep.sigma_upper < sigma_horizon(cfg.law):
-            lines.append(f"t_upper = {t_of_sigma(cfg.law, rep.sigma_upper)!r}")
+            lines.append(f"t_upper = {float(t_of_sigma(cfg.law, rep.sigma_upper))!r}")
     return lines
 
 
@@ -449,9 +451,9 @@ def _write_summary(base: str, preset_id: str, reports: dict[str, BlowUpReport]) 
 def bounds_report_text(cfg: RunConfig) -> str:
     idx = derive_indices(cfg.params)
     head = [
-        f"gamma = {idx.gamma!r}",
-        f"omega = {idx.omega!r}",
-        f"pi = {idx.pi!r}",
+        f"gamma = {float(idx.gamma)!r}",
+        f"omega = {float(idx.omega)!r}",
+        f"pi = {float(idx.pi)!r}",
     ]
     return "\n".join(head + _bound_block(cfg))
 

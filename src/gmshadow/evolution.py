@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .params import _require_finite
+from .params import _check_integer, _require_finite
 
 
 class LawKind(Enum):
@@ -56,6 +56,7 @@ class EvolutionLaw:
     dimension: int = 2
 
     def __post_init__(self) -> None:
+        _check_integer("dimension", self.dimension)
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         _require_finite(self, ("beta", "m"))

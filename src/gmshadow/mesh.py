@@ -11,20 +11,15 @@ N*u_RR(0) at the origin, and is exact on quadratics.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import _check_integer
+
 Stencil = Callable[[np.ndarray], np.ndarray]
 Resolvent = Callable[[np.ndarray, float], np.ndarray]
-
-
-def _check_integer(name: str, value) -> None:
-    """A grid size is an integer, not a float or a bool."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +168,7 @@ class RadialGrid:
     outer_bc: str = "neumann"
 
     def __post_init__(self) -> None:
+        _check_integer("dim", self.dim)
         if self.dim not in (1, 2, 3):
             raise ValueError(f"ambient dimension must be 1, 2 or 3, got {self.dim}")
         _check_integer("M", self.M)
@@ -268,9 +264,6 @@ class Field:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
 
 
 def laplacian_rect(f: Field) -> Field:

@@ -10,7 +10,14 @@ is the anti-Turing regime where the mean itself can blow up.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
+
+
+def _check_integer(name: str, value) -> None:
+    """A size or a dimension is an integer, not a float or a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_finite(obj, names) -> None:

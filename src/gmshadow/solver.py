@@ -95,7 +95,7 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import BlowUpReport, Verdict, _refine_blowup
+from .analysis import BlowUpReport, Verdict, _event_report
 from .evolution import (
     EvolutionLaw,
     LawKind,
@@ -182,6 +182,19 @@ class RunConfig:
                 f"{self.law.kind.value}; only a sigma-clock exp_growth run stops "
                 "at its horizon"
             )
+        if self.system.t_native and self.law.kind is not LawKind.STATIC:
+            # rho^2 and sigma are monotone in t: their values at end_time
+            # bound those of every step
+            try:
+                ends = (scale_factor(self.law, self.end_time) ** 2,
+                        sigma_of_t(self.law, self.end_time))
+            except OverflowError:
+                ends = (math.inf,)
+            if not all(0.0 < x < math.inf for x in ends):
+                raise ValueError(
+                    f"end_time={self.end_time} takes rho^2 or sigma out of float "
+                    f"range under {self.law.kind.value} with beta={self.law.beta}"
+                )
         if self.system is SystemKind.FULL_RD and not isinstance(self.grid, RectGrid):
             raise ValueError("the full two-species system runs on the rectangle grid")
         grid_dim = 2 if isinstance(self.grid, RectGrid) else self.grid.dim
@@ -463,22 +476,6 @@ def _guarded_dt(
     return dt, low, dmin
 
 
-def _dt_effective(
-    ctx: _Ctx, u, sup: float, low: float, du, aux, daux, rho2: float,
-    v_low: float | None,
-) -> tuple[float, float, float]:
-    """The step's dt, and _guarded_dt's lower bound on u and min du."""
-    cfg = ctx.cfg
-    d_eff = cfg.params.D1 / rho2
-    dt = min(cfg.dt, ctx.h2 / (4.0 * d_eff))
-    dt, low, dmin = _guarded_dt(dt, u, sup, low, du, ctx.mag)
-    if ctx.shadow:
-        dt = min(dt, 0.45 * aux / (abs(daux) + 1e-300))
-    elif ctx.full_rd:
-        dt = _guarded_dt(dt, aux, _max(aux), v_low, daux, ctx.mag)[0]
-    return dt * cfg.dt_safety, low, dmin
-
-
 def step(config: RunConfig, state: RunState) -> RunState:
     """One forward-Euler update; advances clocks, re-checks positivity,
     and sets the verdict on threshold crossing, horizon or overflow.
@@ -523,8 +520,15 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     except NonPositiveStateError:
         state.verdict = Verdict.NON_FINITE
         return sup, low
-    dt, low, dmin = _dt_effective(ctx, u, sup, low, du, aux, daux, rho2, v_low)
-    dt = min(dt, end - clock)
+    # the diffusion cap, the growth clamp and the positivity guards, scaled
+    # by dt_safety and clipped to the end of the run
+    dt = min(cfg.dt, ctx.h2 / (4.0 * (cfg.params.D1 / rho2)))
+    dt, low, dmin = _guarded_dt(dt, u, sup, low, du, ctx.mag)
+    if ctx.shadow:
+        dt = min(dt, 0.45 * aux / (abs(daux) + 1e-300))
+    elif ctx.full_rd:
+        dt = _guarded_dt(dt, aux, _max(aux), v_low, daux, ctx.mag)[0]
+    dt = min(dt * cfg.dt_safety, end - clock)
     if not math.isfinite(dt) or dt <= 0.0:
         state.verdict = Verdict.NON_FINITE
         return sup, low
@@ -574,10 +578,10 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
 
     Samples diagnostics every sample_stride steps, whenever the sup norm has
     grown by 5% since the last sample (so the blow-up tail is resolved), and
-    at termination.  Snapshots are taken at the first state reaching each
-    requested time plus the final state.  The report's verdict is _step's,
-    and a BlowUp or Quench event is the last sample, at the terminal clock;
-    analysis refines a BlowUp from the samples before it.
+    at termination.  Snapshots hold state.u itself, which no later step
+    writes, at the first state reaching each requested time and at the end.
+    The report's verdict is _step's; a BlowUp or Quench is reported by
+    analysis._event_report at the last sample, the terminal clock.
     """
     ctx = _Ctx(config)
     p = config.params
@@ -607,15 +611,13 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
             sample(sup)
             last_sup, last_clock = sup, state.clock
         while pending and state.clock >= pending[0]:
-            label = f"clock{pending.pop(0)!r}"
-            snapshots[label] = Field(config.grid, state.u.copy())
+            label = f"clock{float(pending.pop(0))!r}"
+            snapshots[label] = Field(config.grid, state.u)
     if state.clock != last_clock:
         sample(sup)
-    snapshots["final"] = Field(config.grid, state.u.copy())
+    snapshots["final"] = Field(config.grid, state.u)
 
     report = BlowUpReport(state.verdict)
     if state.verdict in (Verdict.BLOW_UP, Verdict.QUENCH):
-        report.event_time_t, report.event_time_sigma = series.t[-1], series.sigma[-1]
-    if state.verdict is Verdict.BLOW_UP:
-        _refine_blowup(report, series, p.p, len(series) - 1)
+        report = _event_report(state.verdict, series, p.p, len(series) - 1)
     return series, report, snapshots

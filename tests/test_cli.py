@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmshadow import EvolutionLaw, Parameters, RadialGrid, SystemKind, Verdict, cli, sigma_of_t
+from gmshadow import (
+    EvolutionLaw, Parameters, RadialGrid, RectGrid, SystemKind, Verdict, cli, sigma_of_t,
+)
 from gmshadow.cli import (
     PRESETS,
     ConfigError,
@@ -209,6 +211,23 @@ def test_bounds_report_not_applicable(tmp_path):
     assert "not-applicable" in bounds_report_text(cfg)
 
 
+def test_numpy_scalars_echo_as_python_numbers(tmp_path):
+    # numpy 2 writes repr(np.float64(0.001)) as "np.float64(0.001)"
+    f, i = np.float64, np.int64
+    cfg = replace(parse_config(write(tmp_path, MINIMAL_STATIC)), dt=f(0.001),
+                  end_time=f(0.01), sample_stride=i(3), snapshot_times=(f(0.005),),
+                  params=Parameters(p=f(3), q=f(2), r=f(1), s=f(2)),
+                  law=EvolutionLaw.exp_decay(f(0.1), i(2)), grid=RectGrid(i(9), i(9)))
+    assert parse_config(write(tmp_path, render_config(cfg), "echo.ini")) == cfg
+    out = tmp_path / "run"
+    run_one(cfg, str(out))
+    assert sorted(os.listdir(out)) == ["config.ini", "report.txt", "series.csv",
+                                       "snapshot_clock0.005.csv", "snapshot_final.csv"]
+    report = (out / "report.txt").read_text()
+    assert "np." not in report and "t_upper = " in report
+    assert parse_config(str(out / "config.ini")) == cfg
+
+
 def test_cli_run_config_exit_code(tmp_path, capsys):
     path = write(tmp_path, MINIMAL_STATIC)
     rc = main(["run", path, "--outdir", str(tmp_path / "runs")])
@@ -230,7 +249,13 @@ def test_cli_run_preset_to_end_time_inf_is_an_error(tmp_path, capsys):
     (MINIMAL_STATIC.replace("init = constant", "init = cosine").replace("c = 1.0", "c = 2.0")
      .replace("kind = rect\nnx = 9\nny = 9", "kind = radial\nM = 17"),
      "cosine profile is defined on the unit square"),
-], ids=["threshold_below_initial_sup", "cosine_on_radial"])
+    # 2*beta*t passes ln(DBL_MAX) at t = 47.3, where rho^2 used to raise OverflowError
+    (MINIMAL_STATIC.replace("nonlocal_sigma", "nonlocal_t").replace("dt = 0.002", "dt = 0.001")
+     .replace("end_time = 0.05", "end_time = 50").replace("c = 1.0", "c = 2.0")
+     .replace("evolution = static", "evolution = exp_growth\nbeta = 7.5")
+     .replace("nx = 9\nny = 9", "nx = 3\nny = 3"),
+     "end_time=50.0 takes rho^2 or sigma out of float range under exp_growth"),
+], ids=["threshold_below_initial_sup", "cosine_on_radial", "rho_squared_overflow"])
 def test_cli_rejected_config_writes_nothing(tmp_path, capsys, text, message):
     # advance() rejects the config before any run directory is made
     rc = main(["run", write(tmp_path, text), "--outdir", str(tmp_path / "r")])

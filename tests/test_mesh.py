@@ -6,6 +6,7 @@ import pytest
 import scipy.fft
 
 from gmshadow import (
+    EvolutionLaw,
     Field,
     RadialGrid,
     RectGrid,
@@ -369,3 +370,16 @@ def test_grid_sizes_must_be_integers(make, name, value):
         make(value)
     # numpy integers are integers
     assert make(np.int64(10)).shape in ((10, 10), (10,))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: RadialGrid(v, 64), "dim"),
+    (lambda v: EvolutionLaw.static(v), "dimension"),
+], ids=["grid_dim", "law_dimension"])
+@pytest.mark.parametrize("value", [3.0, True], ids=["float", "bool"])
+def test_dimensions_must_be_integers(make, name, value):
+    # both passed the membership test in (1, 2, 3), and their echo
+    # "dimension = 3.0" is a value the config parser rejects
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        make(value)
+    assert make(np.int64(3)) == make(3)

@@ -598,7 +598,28 @@ def test_config_rejects_an_end_time_that_never_ends(system, law):
     # a bounded run to end_time = inf used to step forever without a verdict
     with pytest.raises(ValueError, match="end_time=inf never ends"):
         small_cfg(system=system, params=TAU, law=law, end_time=math.inf)
-    small_cfg(system=system, params=TAU, law=law, end_time=1e9)
+    # a finite end_time is accepted; in t, an evolving law keeps rho^2 and
+    # sigma in float range only up to a finite end_time
+    in_range = law is STATIC or not system.t_native
+    small_cfg(system=system, params=TAU, law=law, end_time=1e9 if in_range else 1e3)
+
+
+@pytest.mark.parametrize("system, law, end_time", [
+    # rho^2 = e^(2 beta t) overflows at t = 47.3, with the mean held at 2
+    (SystemKind.NONLOCAL_T, EvolutionLaw.exp_growth(7.5), 50.0),
+    # e^(beta t) overflows inside rho and L, though rho tends to m
+    (SystemKind.NONLOCAL_T, EvolutionLaw.logistic(0.5, 2.0), 1500.0),
+    # sigma = expm1(2 beta t)/(2 beta) overflows
+    (SystemKind.FULL_RD, EvolutionLaw.exp_decay(0.1), 4000.0),
+], ids=["exp_growth", "logistic", "exp_decay"])
+def test_config_rejects_an_end_time_beyond_the_float_range_of_its_clock(system, law, end_time):
+    kw = dict(system=system, params=TAU, law=law, grid=RectGrid(3, 3))
+    with pytest.raises(ValueError, match=re.escape(
+            f"end_time={end_time} takes rho^2 or sigma out of float range "
+            f"under {law.kind.value} with beta={law.beta}")):
+        small_cfg(**kw, end_time=end_time)
+    # the closed forms are monotone in t, so end_time bounds every step's clock
+    small_cfg(**kw, end_time=0.85 * end_time)
 
 
 BALL = dict(law=EvolutionLaw.static(3), grid=RadialGrid(3, 17))
@@ -659,12 +680,14 @@ def test_step_evaluates_rho_once(system, params, monkeypatch):
         calls.append(t)
         return scale_factor(law, t)
 
-    monkeypatch.setattr(solver, "scale_factor", counted)
     cfg = small_cfg(system=system, params=params, law=DECAY, v0=2.0,
                     init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.02)
+    monkeypatch.setattr(solver, "scale_factor", counted)
     state = _step_loop(cfg)
     assert state.steps > 10
-    assert len(calls) == (state.steps if system.t_native else 0)
+    # plus one at end_time when step() builds its context, whose config
+    # validation checks that rho^2 stays in float range
+    assert len(calls) == (state.steps + 1 if system.t_native else 0)
 
 
 def _step_loop(cfg):
@@ -753,6 +776,30 @@ def test_advance_matches_step_loop(cfg, verdict, monkeypatch):
     assert run.u.tobytes() == ref.u.tobytes()
     assert np.array_equal(run.aux, ref.aux)
     assert snaps["final"].values.tobytes() == ref.u.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    small_cfg(grid=RectGrid(17, 17), blowup_threshold=1e4, snapshot_times=(0.02, 0.1)),
+    small_cfg(system=SystemKind.FULL_RD,
+              params=Parameters(p=3, q=2, r=1, s=2, D1=0.01, D2=1.0, tau=0.01),
+              law=DECAY, grid=RectGrid(17, 13), v0=2.0, snapshot_times=(0.01, 0.03),
+              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.05),
+    small_cfg(law=EvolutionLaw.static(3), grid=RadialGrid(3, 33, outer_bc="dirichlet"),
+              init=SPIKE, end_time=0.01, quench_threshold=1e-6, snapshot_times=(0.002,)),
+], ids=["rect_blowup", "full_rd", "ball_dirichlet"])
+def test_advance_snapshots_match_the_step_loop_at_their_steps(cfg):
+    # advance() keeps state.u itself as a snapshot, so a step that wrote into
+    # an array it had handed out would change an earlier snapshot
+    _, _, snaps = advance(cfg)
+    state, kept = RunState.initial(cfg), {}
+    pending = list(cfg.snapshot_times)
+    while step(cfg, state).verdict is None:
+        while pending and state.clock >= pending[0]:
+            kept[f"clock{pending.pop(0)!r}"] = state.u.copy()
+    assert len(kept) == len(cfg.snapshot_times) and kept.keys() < snaps.keys()
+    for label, u in kept.items():
+        assert snaps[label].values.tobytes() == u.tobytes(), label
+    assert snaps["final"].values.tobytes() == state.u.tobytes()
 
 
 def _one_tall_node(shape, low, high):
