@@ -410,7 +410,7 @@ def run_preset(preset_id: str, outroot: str, overrides: dict | None = None) -> i
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     # FULL_RD's inhibitor solve runs on the BLAS thread pool, which spans the
     # CPUs; beside another worker it slows by more than the pool saves (exp4
-    # on 2 CPUs: full_rd 1.55 s alone, 2.14 s beside nonlocal_t's 0.46 s)
+    # on 2 CPUs: full_rd 1.71 s alone, 1.98 s beside nonlocal_t's 0.12 s)
     full_rd = any(cfg.system is SystemKind.FULL_RD for cfg in runs.values())
     workers = 1 if full_rd else min(len(runs), cpus)
     reports = {}

@@ -105,16 +105,37 @@ class RectGrid:
             e[1:-1, -1] = u[:, -2]
             e[0, 1:-1] = u[1]
             e[-1, 1:-1] = u[-2]
-            np.multiply(centre, 2.0, out=two_u)
-            # ((E - 2u) + W)/hx2 + ((N - 2u) + S)/hy2, element by element
-            np.subtract(east, two_u, out=acc)
-            np.add(acc, west, out=acc)
-            np.divide(acc, hx2, out=acc)
-            np.subtract(north, two_u, out=two_u)
-            np.add(two_u, south, out=two_u)
-            np.divide(two_u, hy2, out=two_u)
-            np.add(acc, two_u, out=acc)
+            _five_point(centre, east, west, north, south, hx2, hy2, two_u, acc)
             return interior.copy()
+
+        return lap
+
+    def column_laplacian_operator(self) -> Stencil:
+        """laplacian_operator() for a field constant along x, on its (ny, 1)
+        column: lap(u[:, :1]) equals laplacian_operator()(u)[:, :1] bit for
+        bit, and every column of that result is the same.
+
+        A node's east and west neighbours are the node itself (the ghost
+        columns mirror the constant rows too), so the x-term is formed as
+        the 2-D stencil forms it, ((u - 2u) + u)/hx^2: +0.0 for a finite u,
+        -inf where 2u overflows, and NaN for NaN.  The operator owns a
+        ghost-framed buffer and a scratch array that every call
+        overwrites, so one operator must not be called from two threads at
+        once.  Each call returns a fresh array.
+        """
+        ny = self.ny
+        hx2, hy2 = self.hx**2, self.hy**2
+        e = np.empty((ny + 2, 1))
+        centre, north, south = e[1:-1], e[2:], e[:-2]
+        two_u = np.empty((ny, 1))
+
+        def lap(u: np.ndarray) -> np.ndarray:
+            e[1:-1] = u
+            e[0] = u[1]
+            e[-1] = u[-2]
+            out = np.empty((ny, 1))
+            _five_point(centre, centre, centre, north, south, hx2, hy2, two_u, out)
+            return out
 
         return lap
 
@@ -141,6 +162,20 @@ class RectGrid:
             return cy @ vhat @ cxt
 
         return solve
+
+
+def _five_point(centre, east, west, north, south, hx2, hy2, two_u, acc) -> None:
+    """The 5-point stencil's arithmetic, element by element, into acc:
+    ((E - 2u) + W)/hx2 + ((N - 2u) + S)/hy2, with N the next row and S
+    the previous one; two_u is overwritten."""
+    np.multiply(centre, 2.0, out=two_u)
+    np.subtract(east, two_u, out=acc)
+    np.add(acc, west, out=acc)
+    np.divide(acc, hx2, out=acc)
+    np.subtract(north, two_u, out=two_u)
+    np.add(two_u, south, out=two_u)
+    np.divide(two_u, hy2, out=two_u)
+    np.add(acc, two_u, out=acc)
 
 
 def _dct1_matrix(n: int) -> np.ndarray:

@@ -62,6 +62,22 @@ v and daux, v's minimum exact; its inhibitor update (the kinetics and the
 spectral solve, which dominates its step) forms v^q once when q = s, and
 aux + dt*daux in daux's fresh array.
 
+advance() steps a rectangle run of a non-local or shadow family on one
+column when u0 is constant along x, every column equal to the first bit
+for bit, as the cosine datum of every config-driven rectangle run is.  A
+step keeps such a field constant along x: every operation but the
+stencil and the means is pointwise, and the stencil's x-term
+((u - 2u) + u)/hx^2 is the same at every node of a row.  So the run steps
+the (ny, 1) column through the same _step, with the column stencil
+RectGrid.column_laplacian_operator (the 2-D stencil's arithmetic, so its
+result bit for bit), a column workspace, and means that broadcast the
+column into one (ny, nx) buffer for the same kernel and weights.  Every
+step, dt, sample and verdict is then the 2-D run's bit for bit, at a
+fifth to a sixth of the cost per step on 128x128 (2-vCPU host).  Snapshots and the state the run
+ends with are expanded (ny, nx) copies.  step() and rhs() stay 2-D, as
+they take any array a caller passes, and so does FULL_RD, whose cosine
+solve of v is not exactly constant along x.
+
 _step alone decides a run's verdict and ends it at the terminal clock,
 which advance() samples last; the report takes that verdict and, for
 BlowUp and Quench, the event times from that sample, and analysis only
@@ -280,9 +296,14 @@ class RunState:
 class _Ctx:
     """Per-run machinery and the step workspace: weights, Laplacian,
     inhibitor solve, coefficient exponent, clock end, what the config fixes
-    of rho^2 and (a, b), and the preallocated per-step temporaries."""
+    of rho^2 and (a, b), and the preallocated per-step temporaries.
 
-    def __init__(self, config: RunConfig):
+    A column context (advance() only) steps the (ny, 1) column of a
+    rectangle field constant along x: its Laplacian and workspace are
+    column-shaped, and its average broadcasts the column into a (ny, nx)
+    buffer for the full-grid weights."""
+
+    def __init__(self, config: RunConfig, column: bool = False):
         # a shallow snapshot: it re-runs RunConfig's validation, and step()
         # compares it with the caller's config to see an in-place edit
         self.cfg = cfg = replace(config)
@@ -290,7 +311,9 @@ class _Ctx:
         self.idx = derive_indices(p)
         g = cfg.grid
         self.w = g.quad_weights().ravel()
-        self.laplacian = g.laplacian_operator()
+        shape = (g.ny, 1) if column else g.shape
+        self.laplacian = g.column_laplacian_operator() if column else g.laplacian_operator()
+        self.wide = np.empty(g.shape) if column else None
         self.pin_outer = isinstance(g, RadialGrid) and g.outer_bc == "dirichlet"
         self.h2 = g.h_min**2
         self.shadow = kind is SystemKind.SHADOW_TAU
@@ -310,7 +333,7 @@ class _Ctx:
         # the workspace, overwritten by every step: the mean's power of u
         # (u^r in a step), u^p, a*u (then b*u^p/denom when u^p is u), and
         # the dt guard's |du|
-        self.ur, self.up, self.scratch, self.mag = np.empty((4, *g.shape))
+        self.ur, self.up, self.scratch, self.mag = np.empty((4, *shape))
         # fast_pow forms u^4 as (u^2)^2, so with r = 2 the u^r that the step
         # formed for the mean or FULL_RD's kinetics is u^4's factor
         forms_ur = kind in _INHIBITOR_FAMILIES or self.idx.gamma != 0.0
@@ -318,7 +341,7 @@ class _Ctx:
 
     def __reduce__(self):
         # the operators are closures; a copy rebuilds them with its own buffers
-        return (_Ctx, (self.cfg,))
+        return (_Ctx, (self.cfg, self.wide is not None))
 
     def coefficients(self, clock: float) -> tuple[float, float]:
         """The family's (a, b) at the clock: Phi and Psi_e, in its clock."""
@@ -335,8 +358,13 @@ class _Ctx:
 
     def average(self, u: np.ndarray, power: float) -> float:
         """The quadrature average of u^power by mesh.mean's kernel, so equal
-        to mesh.mean bit for bit; u^power is left in self.ur."""
-        return _weighted_sum(self.w, fast_pow(u, power, self.ur).ravel())
+        to mesh.mean bit for bit, of the column broadcast along x in a
+        column context; u^power is left in self.ur."""
+        x = fast_pow(u, power, self.ur)
+        if self.wide is not None:
+            np.copyto(self.wide, x)
+            x = self.wide
+        return _weighted_sum(self.w, x.ravel())
 
     def nonlocal_mean(self, u: np.ndarray, power: float) -> float:
         m = self.average(u, power)
@@ -567,6 +595,13 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     return sup, low
 
 
+def _x_invariant(u: np.ndarray) -> bool:
+    """Whether every column of a (ny, nx) array equals its first bit for bit
+    (signed zeros and NaN payloads included)."""
+    bits = u.view(np.int64)
+    return bool((bits == bits[:, :1]).all())
+
+
 def _clocks(cfg: RunConfig, clock: float) -> tuple[float, float]:
     if cfg.system.t_native:
         return clock, sigma_of_t(cfg.law, clock)
@@ -582,11 +617,26 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     writes, at the first state reaching each requested time and at the end.
     The report's verdict is _step's; a BlowUp or Quench is reported by
     analysis._event_report at the last sample, the terminal clock.
+
+    A rectangle run of a non-local or shadow family whose u0 has every
+    column equal to the first, bit for bit, steps that (ny, 1) column
+    alone (see the module docstring).  The field stays constant along x
+    and each step forms the 2-D step's numbers, so the run is the 2-D
+    run bit for bit.  Its snapshots, and the state it ends with, are
+    copies expanded to (ny, nx).  FULL_RD runs always step the grid.
     """
-    ctx = _Ctx(config)
     p = config.params
     state = RunState.initial(config)
+    column = (isinstance(config.grid, RectGrid) and config.system is not SystemKind.FULL_RD
+              and _x_invariant(state.u))
+    ctx = _Ctx(config, column)
+    if column:
+        state.u = state.u[:, :1].copy()
     sup, low = _max(state.u), _min(state.u)
+
+    def full(u: np.ndarray) -> np.ndarray:
+        """The (ny, nx) field of a column run's u; u itself otherwise."""
+        return np.broadcast_to(u, config.grid.shape).copy() if column else u
 
     series = TimeSeries()
     snapshots: dict[str, Field] = {}
@@ -612,9 +662,10 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
             last_sup, last_clock = sup, state.clock
         while pending and state.clock >= pending[0]:
             label = f"clock{float(pending.pop(0))!r}"
-            snapshots[label] = Field(config.grid, state.u)
+            snapshots[label] = Field(config.grid, full(state.u))
     if state.clock != last_clock:
         sample(sup)
+    state.u = full(state.u)
     snapshots["final"] = Field(config.grid, state.u)
 
     report = BlowUpReport(state.verdict)

@@ -81,6 +81,32 @@ def test_rect_laplacian_matches_reflect_pad_formula_on_every_shape(nx, ny):
         assert np.array_equal(out, ref)
 
 
+@pytest.mark.parametrize("nx, ny", [(3, 3), (3, 7), (8, 5), (128, 128)])
+def test_rect_column_laplacian_is_the_2d_stencil_of_an_x_invariant_field(nx, ny):
+    # bit for bit, signed zeros included, also where 2u overflows to inf
+    g = RectGrid(nx, ny)
+    lap, column_lap = g.laplacian_operator(), g.column_laplacian_operator()
+    rng = np.random.default_rng(nx + ny)
+    huge = rng.uniform(0.5, 1.0, (ny, 1)) * np.finfo(float).max
+    signed_zeros = np.zeros((ny, 1))
+    signed_zeros[::2] = -0.0  # the y-term is -0.0 at odd rows, the sum +0.0
+    columns = [rng.uniform(0.1, 5.0, (ny, 1)), huge,
+               np.where(rng.uniform(size=(ny, 1)) < 0.5, huge, 1.0), signed_zeros]
+    kept = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in columns:
+            full = lap(np.broadcast_to(col, g.shape).copy())
+            out = column_lap(col)
+            assert out.shape == (ny, 1) and not np.shares_memory(out, col)
+            assert (full.view(np.int64) == full[:, :1].view(np.int64)).all()
+            assert out.tobytes() == full[:, :1].tobytes()
+            kept.append((out, out.copy()))
+    assert np.isneginf(kept[1][0]).all()
+    # each call returns a fresh array, which later calls leave alone
+    for out, copy in kept:
+        assert out.tobytes() == copy.tobytes()
+
+
 def test_rect_laplacian_results_do_not_alias():
     g = RectGrid(14, 11)
     lap = g.laplacian_operator()

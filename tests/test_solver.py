@@ -854,6 +854,80 @@ def test_advance_report_is_the_steppers_verdict(cfg, verdict):
         assert dataclasses.asdict(report) == dataclasses.asdict(BlowUpReport(verdict))
 
 
+COSINE = InitSpec(InitKind.COSINE_PLUS, c=2.0)
+SNAPSHOTS = (0.02, 0.05)
+
+
+def _count_stencils(monkeypatch):
+    """Calls of the rectangle's 2-D and column stencils, by builder name."""
+    calls = collections.Counter()
+    for name in ("laplacian_operator", "column_laplacian_operator"):
+        def build(self, original=getattr(RectGrid, name), name=name):
+            lap = original(self)
+
+            def counted(u):
+                calls[name] += 1
+                return lap(u)
+            return counted
+        monkeypatch.setattr(RectGrid, name, build)
+    return calls
+
+
+def _nudged_initial(spec, grid, *, p):
+    """build_initial with one node of the last column one ulp higher."""
+    u0 = build_initial(spec, grid, p=p)
+    u0.values[grid.ny // 2, -1] = np.nextafter(u0.values[grid.ny // 2, -1], math.inf)
+    return u0
+
+
+def _artifacts(run):
+    series, report, snaps = run
+    return ([np.array(getattr(series, c)).tobytes() for c in series.columns],
+            dataclasses.asdict(report), {k: f.values.tobytes() for k, f in snaps.items()})
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("cfg, nudge, stencil", [
+    (small_cfg(system=SystemKind.NONLOCAL_T, grid=RectGrid(14, 11), law=DECAY, init=COSINE,
+               end_time=0.1, snapshot_times=SNAPSHOTS), False, "column_laplacian_operator"),
+    (small_cfg(grid=RectGrid(13, 16), law=DECAY, init=COSINE, end_time=0.1,
+               snapshot_times=SNAPSHOTS), False, "column_laplacian_operator"),
+    (small_cfg(system=SystemKind.SHADOW_TAU, params=Parameters(p=3, q=2, r=1, s=2, tau=0.1),
+               law=DECAY, grid=RectGrid(11, 14), eta0=0.7, init=COSINE, end_time=0.2,
+               snapshot_times=SNAPSHOTS), False, "column_laplacian_operator"),
+    # non-integer powers go through np.power, on the column as on the grid
+    (small_cfg(system=SystemKind.NONLOCAL_T, params=Parameters(p=2.5, q=2, r=1.5, s=1.5),
+               grid=RectGrid(12, 9), law=GROWTH, init=COSINE, end_time=0.1,
+               snapshot_times=SNAPSHOTS), False, "column_laplacian_operator"),
+    (small_cfg(init=COSINE, blowup_threshold=math.inf, end_time=1e9), False,
+     "column_laplacian_operator"),
+    (small_cfg(grid=RectGrid(13, 16), law=DECAY, init=COSINE, end_time=0.1,
+               snapshot_times=SNAPSHOTS), True, "laplacian_operator"),
+    (small_cfg(system=SystemKind.FULL_RD,
+               params=Parameters(p=3, q=2, r=1, s=2, D1=0.01, D2=1.0, tau=0.01),
+               law=DECAY, grid=RectGrid(17, 13), v0=2.0, init=COSINE, end_time=0.05,
+               snapshot_times=SNAPSHOTS), False, "laplacian_operator"),
+], ids=["nonlocal_t", "nonlocal_sigma", "shadow_tau", "nonlocal_t_fractional_powers",
+        "overflow", "x_dependent_u0", "full_rd"])
+def test_advance_steps_only_x_invariant_nonlocal_rectangle_runs_on_one_column(
+        cfg, nudge, stencil, monkeypatch):
+    # an x-invariant rectangle run of a non-local or shadow family steps its
+    # (ny, 1) column; a u0 one ulp off x-invariance and FULL_RD step the grid
+    if nudge:
+        monkeypatch.setattr(solver, "build_initial", _nudged_initial)
+    calls = _count_stencils(monkeypatch)
+    run = advance(cfg)
+    taken = dict(calls)
+    assert list(taken) == [stencil] and taken[stencil] > 10
+    # the same run forced onto the grid: the same artifacts, bit for bit
+    monkeypatch.setattr(solver, "_x_invariant", lambda u: False)
+    calls.clear()
+    assert _artifacts(advance(cfg)) == _artifacts(run)
+    assert dict(calls) == {"laplacian_operator": taken[stencil]}
+    # and the public step() loop ends on the same u
+    assert run[2]["final"].values.tobytes() == _step_loop(cfg).u.tobytes()
+
+
 # ------------------------------------------------------- step's context
 
 TAU = Parameters(p=3, q=2, r=1, s=2, tau=0.1)
