@@ -14,8 +14,7 @@ identical configuration reproduces the CSV byte for byte.
 A preset's runs execute concurrently, in forked worker processes, on up to
 the CPUs this process may use; the artifacts, the summary and the order of
 the printed verdicts are those of running them one after another, which is
-what one usable CPU gives (e.g. under `taskset -c 0`), and what a preset
-with a FULL_RD run (exp4) always does.
+what one usable CPU gives (e.g. under `taskset -c 0`).
 """
 
 from __future__ import annotations
@@ -395,10 +394,10 @@ def run_preset(preset_id: str, outroot: str, overrides: dict | None = None) -> i
     The runs are independent, so they execute concurrently in forked worker
     processes, one per usable CPU up to the number of runs.  They run one
     after another in this process when there is one CPU (or no affinity to
-    read) and when the preset has a FULL_RD run.  The artifacts, the summary
-    and the order of the printed verdicts are the same either way.  A forked
-    worker starts from this process's modules as they are, so it needs no
-    fresh import and sees any patched name.
+    read).  The artifacts, the summary and the order of the printed
+    verdicts are the same either way.  A forked worker starts from this
+    process's modules as they are, so it needs no fresh import and sees any
+    patched name.
     """
     if preset_id not in PRESETS:
         raise ConfigError(f"unknown preset {preset_id!r}; have {sorted(PRESETS)}")
@@ -408,11 +407,7 @@ def run_preset(preset_id: str, outroot: str, overrides: dict | None = None) -> i
     base = os.path.join(outroot, preset_id)
     dirs = [os.path.join(base, name) for name in runs]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    # FULL_RD's inhibitor solve runs on the BLAS thread pool, which spans the
-    # CPUs; beside another worker it slows by more than the pool saves (exp4
-    # on 2 CPUs: full_rd 1.71 s alone, 1.98 s beside nonlocal_t's 0.12 s)
-    full_rd = any(cfg.system is SystemKind.FULL_RD for cfg in runs.values())
-    workers = 1 if full_rd else min(len(runs), cpus)
+    workers = min(len(runs), cpus)
     reports = {}
     with contextlib.ExitStack() as stack:
         run_all = map

@@ -145,23 +145,64 @@ class RectGrid:
 
         The type-I DCT matrix C of each axis (C @ C = 2(N-1) I) is built
         once, so a solve is four small matmuls: vhat = Cy v Cx^T, divided
-        by 4(nx-1)(ny-1)(1 - nu*lam), then Cy vhat Cx^T.  Each call returns
-        a fresh array.
+        by 4(nx-1)(ny-1)(1 - nu*lam), then Cy vhat Cx^T.  A float64 v
+        whose every column equals its first bit for bit is solved by
+        column_resolvent_operator() instead and the column broadcast, so
+        the result is exactly constant along x too.  Each call returns a
+        fresh array.
         """
         cx = _dct1_matrix(self.nx)
         cy = cx if self.ny == self.nx else _dct1_matrix(self.ny)
         cxt = cx.T
-        lx = (2.0 * np.cos(np.pi * np.arange(self.nx) / (self.nx - 1)) - 2.0) / self.hx**2
-        ly = (2.0 * np.cos(np.pi * np.arange(self.ny) / (self.ny - 1)) - 2.0) / self.hy**2
-        lam = ly[:, None] + lx[None, :]
+        ly = _dct1_eigenvalues(self.ny)
+        lam = ly[:, None] + _dct1_eigenvalues(self.nx)[None, :]
         norm = 4.0 * (self.nx - 1) * (self.ny - 1)
+        column = _column_solve(cy, ly)
+        shape = self.shape
 
         def solve(v: np.ndarray, nu: float) -> np.ndarray:
+            if v.dtype == np.float64 and _x_invariant(v):
+                return np.broadcast_to(column(v[:, :1], nu), shape).copy()
             vhat = cy @ v @ cxt
             vhat /= norm * (1.0 - nu * lam)
             return cy @ vhat @ cxt
 
         return solve
+
+    def column_resolvent_operator(self) -> Resolvent:
+        """resolvent_operator() for a field constant along x, on its (ny, 1)
+        column: solve(v[:, :1], nu) equals resolvent_operator()(v, nu)[:, :1]
+        bit for bit.
+
+        On such a field Cx's first row sums to 2(nx-1), its other rows sum
+        to 0, its first column is 1 and lx[0] = 0, so the solve is two
+        matvecs, Cy ((Cy c) / (2(ny-1)(1 - nu*ly))).  Each call returns a
+        fresh array.
+        """
+        return _column_solve(_dct1_matrix(self.ny), _dct1_eigenvalues(self.ny))
+
+
+def _column_solve(cy: np.ndarray, ly: np.ndarray) -> Resolvent:
+    norm = 2.0 * (len(ly) - 1)
+    ly = ly[:, None]
+
+    def solve(c: np.ndarray, nu: float) -> np.ndarray:
+        # contiguous, so a strided column of a (ny, nx) array takes the same
+        # BLAS path as a column array
+        chat = cy @ np.ascontiguousarray(c)
+        chat /= norm * (1.0 - nu * ly)
+        return cy @ chat
+
+    return solve
+
+
+def _x_invariant(u: np.ndarray) -> bool:
+    """Whether every column of a (ny, nx) float64 array equals its first bit
+    for bit (signed zeros and NaN payloads included).  Column 1 is compared
+    first, so a field that varies along x is usually told in one column."""
+    bits = u.view(np.int64)
+    first = bits[:, :1]
+    return bool((bits[:, 1:2] == first).all() and (bits == first).all())
 
 
 def _five_point(centre, east, west, north, south, hx2, hy2, two_u, acc) -> None:
@@ -176,6 +217,13 @@ def _five_point(centre, east, west, north, south, hx2, hy2, two_u, acc) -> None:
     np.add(two_u, south, out=two_u)
     np.divide(two_u, hy2, out=two_u)
     np.add(acc, two_u, out=acc)
+
+
+def _dct1_eigenvalues(n: int) -> np.ndarray:
+    """The eigenvalues (2cos(pi k/(n-1)) - 2)/h^2, h = 1/(n-1), of the 1-D
+    Neumann 3-point Laplacian on n nodes, in the order of _dct1_matrix's
+    rows; the first is exactly 0."""
+    return (2.0 * np.cos(np.pi * np.arange(n) / (n - 1)) - 2.0) / (1.0 / (n - 1)) ** 2
 
 
 def _dct1_matrix(n: int) -> np.ndarray:

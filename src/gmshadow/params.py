@@ -14,10 +14,13 @@ import numbers
 from dataclasses import dataclass, fields
 
 
-def _check_integer(name: str, value) -> None:
-    """A size or a dimension is an integer, not a float or a bool."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_integer(name: str, value, low: int | None = None) -> None:
+    """A size, a dimension or a count is an integer, not a float or a bool,
+    and at least `low` when one is given."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def _require_finite(obj, names) -> None:

@@ -38,7 +38,8 @@ kinetics and the whole activator equation remain forward Euler.  The solve
 (RectGrid.resolvent_operator) applies a type-I DCT basis built once per
 run by four small matmuls per step instead of calling an FFT: on 128
 nodes the DCT-I is an FFT of length 2(N-1) = 254, and its prime factor
-127 makes that about ten times slower than the matmuls.
+127 makes that about ten times slower than the matmuls.  On a v constant
+along x it is two matvecs on the column, exactly constant along x.
 
 A step allocates one array, the new u: the rate is formed in the
 Laplacian's fresh output and u + dt*du in that same buffer, so state.u is
@@ -62,21 +63,23 @@ v and daux, v's minimum exact; its inhibitor update (the kinetics and the
 spectral solve, which dominates its step) forms v^q once when q = s, and
 aux + dt*daux in daux's fresh array.
 
-advance() steps a rectangle run of a non-local or shadow family on one
-column when u0 is constant along x, every column equal to the first bit
-for bit, as the cosine datum of every config-driven rectangle run is.  A
+advance() steps a rectangle run on one column when u0 is constant along
+x, every column equal to the first bit for bit, as the cosine datum of
+every config-driven rectangle run is (FULL_RD's v0 is a constant).  A
 step keeps such a field constant along x: every operation but the
-stencil and the means is pointwise, and the stencil's x-term
-((u - 2u) + u)/hx^2 is the same at every node of a row.  So the run steps
-the (ny, 1) column through the same _step, with the column stencil
-RectGrid.column_laplacian_operator (the 2-D stencil's arithmetic, so its
-result bit for bit), a column workspace, and means that broadcast the
-column into one (ny, nx) buffer for the same kernel and weights.  Every
-step, dt, sample and verdict is then the 2-D run's bit for bit, at a
-fifth to a sixth of the cost per step on 128x128 (2-vCPU host).  Snapshots and the state the run
-ends with are expanded (ny, nx) copies.  step() and rhs() stay 2-D, as
-they take any array a caller passes, and so does FULL_RD, whose cosine
-solve of v is not exactly constant along x.
+stencil, the means and FULL_RD's inhibitor solve is pointwise, the
+stencil's x-term ((u - 2u) + u)/hx^2 is the same at every node of a row,
+and the solve of an x-invariant v is its column's solve, broadcast.  So
+the run steps the (ny, 1) column through the same _step, with the column
+stencil RectGrid.column_laplacian_operator (the 2-D stencil's
+arithmetic, so its result bit for bit), FULL_RD's column solve
+RectGrid.column_resolvent_operator, a column workspace, and means that
+broadcast the column into one (ny, nx) buffer for the same kernel and
+weights.  Every step, dt, sample and verdict is then the 2-D run's bit
+for bit, at a fifth to a sixth of the cost per step on 128x128, and a
+tenth for FULL_RD (2-vCPU host).  Snapshots and the state the run ends
+with are expanded (ny, nx) copies.  step() and rhs() stay 2-D, as they
+take any array a caller passes.
 
 _step alone decides a run's verdict and ends it at the terminal clock,
 which advance() samples last; the report takes that verdict and, for
@@ -123,9 +126,9 @@ from .evolution import (
     t_of_sigma,
 )
 from .initdata import InitSpec, _check_fits, build_initial
-from .mesh import Field, Grid, RadialGrid, RectGrid, _weighted_sum, mean
+from .mesh import Field, Grid, RadialGrid, RectGrid, _weighted_sum, _x_invariant, mean
 from .mesh import _fast_pow as fast_pow
-from .params import Parameters, derive_indices
+from .params import Parameters, _check_integer, derive_indices
 
 POSITIVITY_FLOOR = 1e-12
 
@@ -178,9 +181,7 @@ class RunConfig:
         for name in ("dt", "end_time"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        stride = self.sample_stride
-        if not isinstance(stride, numbers.Integral) or isinstance(stride, bool) or stride < 1:
-            raise ValueError(f"sample_stride must be an integer >= 1, got {stride!r}")
+        _check_integer("sample_stride", self.sample_stride, 1)
         if not 0.0 < self.dt_safety <= 1.0:
             raise ValueError(f"dt_safety must be in (0, 1], got {self.dt_safety}")
         for name in ("eta0", "v0"):
@@ -299,9 +300,9 @@ class _Ctx:
     of rho^2 and (a, b), and the preallocated per-step temporaries.
 
     A column context (advance() only) steps the (ny, 1) column of a
-    rectangle field constant along x: its Laplacian and workspace are
-    column-shaped, and its average broadcasts the column into a (ny, nx)
-    buffer for the full-grid weights."""
+    rectangle field constant along x: its Laplacian, inhibitor solve and
+    workspace are column-shaped, and its average broadcasts the column
+    into a (ny, nx) buffer for the full-grid weights."""
 
     def __init__(self, config: RunConfig, column: bool = False):
         # a shallow snapshot: it re-runs RunConfig's validation, and step()
@@ -320,7 +321,8 @@ class _Ctx:
         self.full_rd = kind is SystemKind.FULL_RD
         if self.full_rd:
             # (I - nu*Lap)^-1, exact in the grid's cosine basis
-            self.diffuse_inhibitor = g.resolvent_operator()
+            self.diffuse_inhibitor = (g.column_resolvent_operator() if column
+                                      else g.resolvent_operator())
         self.e = 0.0 if kind in _INHIBITOR_FAMILIES else self.idx.gamma
         self.end = clock_end(law, cfg.end_time, kind.t_native)
         # rho is 1 in the sigma clock and under the static law; (a, b) is
@@ -595,13 +597,6 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     return sup, low
 
 
-def _x_invariant(u: np.ndarray) -> bool:
-    """Whether every column of a (ny, nx) array equals its first bit for bit
-    (signed zeros and NaN payloads included)."""
-    bits = u.view(np.int64)
-    return bool((bits == bits[:, :1]).all())
-
-
 def _clocks(cfg: RunConfig, clock: float) -> tuple[float, float]:
     if cfg.system.t_native:
         return clock, sigma_of_t(cfg.law, clock)
@@ -618,20 +613,22 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     The report's verdict is _step's; a BlowUp or Quench is reported by
     analysis._event_report at the last sample, the terminal clock.
 
-    A rectangle run of a non-local or shadow family whose u0 has every
-    column equal to the first, bit for bit, steps that (ny, 1) column
-    alone (see the module docstring).  The field stays constant along x
-    and each step forms the 2-D step's numbers, so the run is the 2-D
-    run bit for bit.  Its snapshots, and the state it ends with, are
-    copies expanded to (ny, nx).  FULL_RD runs always step the grid.
+    A rectangle run whose u0 has every column equal to the first, bit
+    for bit, steps that (ny, 1) column alone, and so does FULL_RD's v
+    (see the module docstring).  The fields stay constant along x and
+    each step forms the 2-D step's numbers, so the run is the 2-D run
+    bit for bit.  Its snapshots, and the u and v it ends with, are copies
+    expanded to (ny, nx).
     """
     p = config.params
     state = RunState.initial(config)
-    column = (isinstance(config.grid, RectGrid) and config.system is not SystemKind.FULL_RD
-              and _x_invariant(state.u))
+    # FULL_RD's v0 is a constant, so its v is constant along x too
+    column = isinstance(config.grid, RectGrid) and _x_invariant(state.u)
     ctx = _Ctx(config, column)
     if column:
         state.u = state.u[:, :1].copy()
+        if ctx.full_rd:
+            state.aux = state.aux[:, :1].copy()
     sup, low = _max(state.u), _min(state.u)
 
     def full(u: np.ndarray) -> np.ndarray:
@@ -666,6 +663,8 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     if state.clock != last_clock:
         sample(sup)
     state.u = full(state.u)
+    if ctx.full_rd:
+        state.aux = full(state.aux)
     snapshots["final"] = Field(config.grid, state.u)
 
     report = BlowUpReport(state.verdict)

@@ -427,11 +427,16 @@ def test_pooled_preset_matches_the_one_process_path(tmp_path, capsys, monkeypatc
         for name in ("static", "exp_growth", "exp_decay", "logistic"))
 
 
-def test_a_preset_with_a_full_rd_run_keeps_to_this_process(tmp_path, monkeypatch):
+def test_a_preset_with_a_full_rd_run_pools_like_any_other(tmp_path, monkeypatch):
     pids = _pids_of_local_runs(monkeypatch)
-    _use_cpus(monkeypatch, 2)
-    run_preset("exp4", str(tmp_path), overrides={"nx": 17, "ny": 17, "end_time": 0.001})
+    small = {"nx": 17, "ny": 17, "end_time": 0.001}
+    trees = []
+    for cpus in (2, 1):
+        _use_cpus(monkeypatch, cpus)
+        run_preset("exp4", str(tmp_path / f"cpus{cpus}"), overrides=small)
+        trees.append(_tree(tmp_path / f"cpus{cpus}"))
     assert pids == [os.getpid()] * 2
+    assert trees[0] == trees[1]
 
 
 def test_pooled_preset_rejected_in_a_worker_exits_2(tmp_path, capsys, monkeypatch):

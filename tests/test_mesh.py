@@ -18,6 +18,7 @@ from gmshadow import (
     write_field_csv,
 )
 from gmshadow.initdata import spike_profile
+from gmshadow.mesh import _dct1_matrix
 
 
 def rect_field(n, fn):
@@ -205,6 +206,57 @@ def test_rect_resolvent_preserves_the_mean(g):
     solve = g.resolvent_operator()
     for nu in SOLVE_NUS:
         assert abs(mean(Field(g, solve(v.values, nu))) - mean(v)) <= 1e-14
+
+
+COLUMN_SOLVE_GRIDS = [RectGrid(17, 13), RectGrid(128, 128)]
+COLUMN_SOLVE_IDS = ["17x13", "128x128"]
+
+
+def _four_matmul_solve(g, v, nu):
+    """resolvent_operator()'s 2-D solve, step by step."""
+    cx, cy = _dct1_matrix(g.nx), _dct1_matrix(g.ny)
+    vhat = cy @ v @ cx.T
+    vhat /= 4.0 * (g.nx - 1) * (g.ny - 1) * (1.0 - nu * _cosine_eigenvalues(g))
+    return cy @ vhat @ cx.T
+
+
+@pytest.mark.parametrize("g", COLUMN_SOLVE_GRIDS, ids=COLUMN_SOLVE_IDS)
+def test_rect_resolvent_of_an_x_invariant_field_is_its_column_solve(g):
+    solve, column = g.resolvent_operator(), g.column_resolvent_operator()
+    c = np.random.default_rng(11).uniform(0.1, 5.0, (g.ny, 1))
+    v = np.broadcast_to(c, g.shape).copy()
+    held = v.copy()
+    for nu in SOLVE_NUS:
+        out = solve(v, nu)
+        col = column(c, nu)
+        assert col.shape == (g.ny, 1) and out.shape == g.shape
+        # exactly constant along x: the column's solve, broadcast
+        assert out.tobytes() == np.broadcast_to(col, g.shape).tobytes()
+        assert not np.shares_memory(out, v) and not np.shares_memory(col, c)
+        ref = _four_matmul_solve(g, v, nu)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert abs(mean(Field(g, out)) - mean(Field(g, v))) <= 1e-14
+    assert v.tobytes() == held.tobytes()
+
+
+@pytest.mark.parametrize("g", COLUMN_SOLVE_GRIDS, ids=COLUMN_SOLVE_IDS)
+def test_rect_column_resolvent_inverts_the_column_stencil(g):
+    # as test_rect_resolvent_inverts_the_stencil, with no x-term in the norm
+    c = np.random.default_rng(12).uniform(0.1, 5.0, (g.ny, 1))
+    solve, lap = g.column_resolvent_operator(), g.column_laplacian_operator()
+    for nu in SOLVE_NUS:
+        w = solve(c, nu)
+        residual = np.max(np.abs(w - nu * lap(w) - c))
+        assert residual <= 1e-14 * (np.max(c) + nu * 4.0 / g.hy**2 * np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("g", COLUMN_SOLVE_GRIDS, ids=COLUMN_SOLVE_IDS)
+def test_rect_resolvent_one_ulp_off_x_invariance_runs_the_four_matmuls(g):
+    v = np.broadcast_to(np.random.default_rng(13).uniform(0.1, 5.0, (g.ny, 1)), g.shape).copy()
+    v[g.ny // 2, -1] = np.nextafter(v[g.ny // 2, -1], math.inf)
+    solve = g.resolvent_operator()
+    for nu in SOLVE_NUS:
+        assert solve(v, nu).tobytes() == _four_matmul_solve(g, v, nu).tobytes()
 
 
 def test_rect_resolvent_results_do_not_alias():

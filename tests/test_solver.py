@@ -886,6 +886,12 @@ def _artifacts(run):
             dataclasses.asdict(report), {k: f.values.tobytes() for k, f in snaps.items()})
 
 
+FULL_RD_COLUMN = small_cfg(system=SystemKind.FULL_RD,
+                           params=Parameters(p=3, q=2, r=1, s=2, D1=0.01, D2=1.0, tau=0.01),
+                           law=DECAY, grid=RectGrid(17, 13), v0=2.0, init=COSINE,
+                           end_time=0.05, snapshot_times=SNAPSHOTS)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("cfg, nudge, stencil", [
     (small_cfg(system=SystemKind.NONLOCAL_T, grid=RectGrid(14, 11), law=DECAY, init=COSINE,
@@ -903,22 +909,22 @@ def _artifacts(run):
      "column_laplacian_operator"),
     (small_cfg(grid=RectGrid(13, 16), law=DECAY, init=COSINE, end_time=0.1,
                snapshot_times=SNAPSHOTS), True, "laplacian_operator"),
-    (small_cfg(system=SystemKind.FULL_RD,
-               params=Parameters(p=3, q=2, r=1, s=2, D1=0.01, D2=1.0, tau=0.01),
-               law=DECAY, grid=RectGrid(17, 13), v0=2.0, init=COSINE, end_time=0.05,
-               snapshot_times=SNAPSHOTS), False, "laplacian_operator"),
+    (FULL_RD_COLUMN, False, "column_laplacian_operator"),
+    (FULL_RD_COLUMN, True, "laplacian_operator"),
 ], ids=["nonlocal_t", "nonlocal_sigma", "shadow_tau", "nonlocal_t_fractional_powers",
-        "overflow", "x_dependent_u0", "full_rd"])
+        "overflow", "x_dependent_u0", "full_rd", "full_rd_x_dependent_u0"])
 def test_advance_steps_only_x_invariant_nonlocal_rectangle_runs_on_one_column(
         cfg, nudge, stencil, monkeypatch):
-    # an x-invariant rectangle run of a non-local or shadow family steps its
-    # (ny, 1) column; a u0 one ulp off x-invariance and FULL_RD step the grid
+    # an x-invariant rectangle run of any family steps its (ny, 1) column
+    # (FULL_RD's v with it); a u0 one ulp off x-invariance steps the grid
     if nudge:
         monkeypatch.setattr(solver, "build_initial", _nudged_initial)
     calls = _count_stencils(monkeypatch)
     run = advance(cfg)
     taken = dict(calls)
     assert list(taken) == [stencil] and taken[stencil] > 10
+    if not nudge:
+        assert mesh._x_invariant(run[2]["final"].values)
     # the same run forced onto the grid: the same artifacts, bit for bit
     monkeypatch.setattr(solver, "_x_invariant", lambda u: False)
     calls.clear()
@@ -1125,17 +1131,41 @@ print([repr(mesh.mean(u0, e)) for e in (1.0, 3.0, -1.0)])
 """
 
 
-def test_average_does_not_depend_on_the_blas_thread_count():
-    # the solver's and mesh.mean's means of the 128x128 exp1/static field;
-    # OpenBLAS reads its thread count when numpy loads, so each count gets a
-    # fresh process
+_PRINT_128_SOLVES = """
+import numpy as np
+from gmshadow import RectGrid
+g = RectGrid(128, 128)
+solve = g.resolvent_operator()
+rng = np.random.default_rng(14)
+x_invariant = np.broadcast_to(rng.uniform(0.1, 5.0, (g.ny, 1)), g.shape).copy()
+for v in (x_invariant, rng.uniform(0.1, 5.0, g.shape)):
+    print(repr(solve(v, 0.1).tolist()))
+"""
+
+
+def _printed_at_one_and_two_blas_threads(code: str) -> list[str]:
+    """What `code` prints in a fresh process at OPENBLAS_NUM_THREADS 1 and 2;
+    OpenBLAS reads its thread count when numpy loads."""
     src = str(Path(gmshadow.__file__).resolve().parents[1])
     printed = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", _PRINT_EXP1_AVERAGES], env=env,
+        done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         printed.append(done.stdout)
+    return printed
+
+
+def test_average_does_not_depend_on_the_blas_thread_count():
+    # the solver's and mesh.mean's means of the 128x128 exp1/static field
+    printed = _printed_at_one_and_two_blas_threads(_PRINT_EXP1_AVERAGES)
+    assert printed[0] == printed[1]
+
+
+def test_resolvent_does_not_depend_on_the_blas_thread_count():
+    # the 128x128 inhibitor solve, of an x-invariant and an x-dependent v
+    printed = _printed_at_one_and_two_blas_threads(_PRINT_128_SOLVES)
+    assert len(printed[0].splitlines()) == 2
     assert printed[0] == printed[1]
 
 
