@@ -499,7 +499,10 @@ def main(argv: list[str] | None = None) -> int:
               if getattr(args, k.attr) is not None}
         law = _build(EvolutionLaw, "evolution", kw, "convert-time")
         if args.t is not None:
-            print(f"sigma = {sigma_of_t(law, args.t)!r}")
+            try:
+                print(f"sigma = {sigma_of_t(law, args.t)!r}")
+            except OverflowError:
+                raise ValueError(f"sigma at t = {args.t!r} overflows a float") from None
         else:
             print(f"t = {t_of_sigma(law, args.sigma)!r}")
         return 0

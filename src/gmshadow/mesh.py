@@ -447,22 +447,32 @@ def write_field_csv(f: Field, path: str) -> None:
 
 def read_field_csv(path: str, grid: Grid) -> Field:
     """Inverse of write_field_csv for a known grid.  ValueError, naming the
-    path, for a rectangle file whose "nx,ny" header is not the grid's and for
-    a radial file whose header is not "R,value" or whose R column is not the
-    grid's R (compared exactly, as it was written by repr).  The R column is
-    the same on every ball dimension, so a file from a ball of another
-    dimension with the same M cannot be told apart."""
+    path, for an empty file, for a rectangle file whose "nx,ny" header is
+    not the grid's or that holds other than nx*ny values, and for a radial
+    file whose header is not "R,value", that has a row of other than two
+    comma-separated fields, or whose R column is not the grid's R (compared
+    exactly, as it was written by repr).  The R column is the same on every
+    ball dimension, so a file from a ball of another dimension with the
+    same M cannot be told apart."""
     with open(path) as fh:
         lines = fh.read().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path} is empty")
     if isinstance(grid, RectGrid):
         if lines[0] != f"{grid.nx},{grid.ny}":
             raise ValueError(
                 f"{path} has header nx,ny = {lines[0]}, the grid is {grid.nx},{grid.ny}"
             )
+        n = grid.nx * grid.ny
+        if len(lines) - 1 != n:
+            raise ValueError(f"{path} has {len(lines) - 1} values, not nx*ny = {n}")
         vals = np.array([float(x) for x in lines[1:]])
         return Field(grid, vals.reshape(grid.shape))
     if lines[0] != "R,value":
         raise ValueError(f"{path} has header {lines[0]}, not the radial grid's R,value")
+    for line in lines[1:]:
+        if line.count(",") != 1:
+            raise ValueError(f"{path} has a row {line!r}, not the two fields R,value")
     rows = [line.split(",") for line in lines[1:]]
     if [float(row[0]) for row in rows] != grid.R.tolist():
         raise ValueError(

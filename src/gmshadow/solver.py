@@ -48,18 +48,12 @@ temporary lives in the context's workspace (below).  Every extreme a step
 takes is read at argmax/argmin (_max, _min): the same float as
 ndarray.max()/min(), NaN included, for less (about 1 us against 2.3 us on
 512 entries, 2-vCPU host).  A step takes the max and min of du, which give
-max |du| for dt, and the max of the new u, its finiteness test and the
-next step's sup.  For the next step's low it carries a lower bound on the
-new u instead of its minimum: u + dt*du is rounded entrywise and rounding
-is monotone, so every entry is at least low + dt*min du.  The exact
-minimum is taken only where the bound will not do: when it is not
-positive (an entry may not be either), and when it fails the positivity
-guard's shortcut.  That shortcut bounds the guard min(u/|du|) below by
-low/max |du|; when the bound already allows dt, the guard cannot bind and
-its passes are skipped.  So dt, the verdict and every bit of u are what
-the exact minimum gives, and step(), which takes the exact max and min of
-the state on every call, steps alike.  FULL_RD adds the same reductions on
-v and daux, v's minimum exact; its inhibitor update (the kinetics and the
+max |du| for dt, and the exact max and min of the new u, which give its
+finiteness test and the next step's sup and low; advance() and step()
+thus step alike.  The positivity guard's shortcut bounds the guard
+min(u/|du|) below by min u/max |du|; when that already allows dt, the
+guard cannot bind and its passes are skipped.  FULL_RD adds the same
+reductions on v and daux; its inhibitor update (the kinetics and the
 spectral solve, which dominates its step) forms v^q once when q = s, and
 aux + dt*daux in daux's fresh array.
 
@@ -417,6 +411,8 @@ def _check_state(cfg: RunConfig, u: np.ndarray, aux, clock: float) -> None:
     elif kind is SystemKind.FULL_RD:
         fits = isinstance(aux, np.ndarray) and aux.shape == cfg.grid.shape
         want = f"an array v of shape {cfg.grid.shape}"
+        if fits and aux.dtype.kind != "f":
+            raise ValueError(f"v has dtype {aux.dtype}, not a float dtype")
     else:
         fits, want = aux is None, "no inhibitor (aux=None)"
     if not fits:
@@ -425,9 +421,9 @@ def _check_state(cfg: RunConfig, u: np.ndarray, aux, clock: float) -> None:
 
 
 def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
-    """Rates of the family at u, whose minimum or a lower bound on it `low`
-    and the clock's ctx.rho_squared `rho2` the caller supplies, and the
-    minimum of FULL_RD's v (None for the other families).  The activator's
+    """Rates of the family at u, whose minimum `low` and the clock's
+    ctx.rho_squared `rho2` the caller supplies, and the minimum of
+    FULL_RD's v (None for the other families).  The activator's
     temporaries are in ctx's workspace, and its rate is the Laplacian's
     fresh output; FULL_RD's daux is a fresh array."""
     p = ctx.cfg.params
@@ -477,33 +473,26 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     return du, daux, v_low
 
 
-def _guarded_dt(
-    dt: float, vals, sup: float, low: float, dvals, mag=None
-) -> tuple[float, float, float]:
+def _guarded_dt(dt: float, vals, sup: float, low: float, dvals, mag=None) -> float:
     """dt limited by the relative growth clamp and the positivity guard, which
-    keeps a positive explicit-Euler update of vals (maximum sup, any lower
-    bound low) comfortably positive; also the lower bound on vals it last
-    tested and min dvals.
+    keeps a positive explicit-Euler update of vals (maximum sup, minimum
+    low) comfortably positive.  Any lower bound on vals as low gives the
+    same dt.
 
     max |dvals| is taken as the larger of max dvals and -min dvals (NaN
     when any entry is).  The guard min(vals/(|dvals| + 1e-300)) is at least
     low/(max |dvals| + 1e-300), as rounding is monotone, so when that bound
-    already allows dt the guard cannot bind.  When the bound low does not,
-    the exact minimum of vals replaces it and is tested in turn; only when
-    that fails too do the guard's four passes run, in `mag`, an array of
-    dvals' shape, when one is given.
+    already allows dt the guard cannot bind; only otherwise do the guard's
+    four passes run, in `mag`, an array of dvals' shape, when one is given.
     """
-    dmin = _min(dvals)
-    mx = max(_max(dvals), -dmin)
+    mx = max(_max(dvals), -_min(dvals))
     dt = min(dt, 0.1 * (1.0 + sup) / (1.0 + mx))
     if 0.45 * (low / (mx + 1e-300)) < dt:
-        low = _min(vals)
-        if 0.45 * (low / (mx + 1e-300)) < dt:
-            mag = np.abs(dvals, out=mag)
-            mag += 1e-300
-            np.divide(vals, mag, out=mag)
-            dt = min(dt, 0.45 * _min(mag))
-    return dt, low, dmin
+        mag = np.abs(dvals, out=mag)
+        mag += 1e-300
+        np.divide(vals, mag, out=mag)
+        dt = min(dt, 0.45 * _min(mag))
+    return dt
 
 
 def step(config: RunConfig, state: RunState) -> RunState:
@@ -526,9 +515,8 @@ def step(config: RunConfig, state: RunState) -> RunState:
 
 
 def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, float]:
-    """step() on the maximum `sup` of state.u and its minimum or a positive
-    lower bound on it `low`; returns the same pair for state.u as it leaves
-    it."""
+    """step() on the maximum `sup` and minimum `low` of state.u; returns the
+    same pair for state.u as it leaves it."""
     cfg = ctx.cfg
     u, aux, clock = state.u, state.aux, state.clock
     if not math.isfinite(sup):
@@ -553,24 +541,21 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     # the diffusion cap, the growth clamp and the positivity guards, scaled
     # by dt_safety and clipped to the end of the run
     dt = min(cfg.dt, ctx.h2 / (4.0 * (cfg.params.D1 / rho2)))
-    dt, low, dmin = _guarded_dt(dt, u, sup, low, du, ctx.mag)
+    dt = _guarded_dt(dt, u, sup, low, du, ctx.mag)
     if ctx.shadow:
         dt = min(dt, 0.45 * aux / (abs(daux) + 1e-300))
     elif ctx.full_rd:
-        dt = _guarded_dt(dt, aux, _max(aux), v_low, daux, ctx.mag)[0]
+        dt = _guarded_dt(dt, aux, _max(aux), v_low, daux, ctx.mag)
     dt = min(dt * cfg.dt_safety, end - clock)
     if not math.isfinite(dt) or dt <= 0.0:
         state.verdict = Verdict.NON_FINITE
         return sup, low
-    # u + dt*du, formed in du's buffer, the one array a step allocates; as
-    # rounding is monotone, each entry is at least low + dt*dmin
+    # u + dt*du, formed in du's buffer, the one array a step allocates
     u_new = du
     u_new *= dt
     u_new += u
-    low = low + dt * dmin
     if ctx.pin_outer:
         u_new[-1] = u[-1]
-        low = min(low, u.item(-1))
     if ctx.shadow:
         aux_new = aux + dt * daux
     elif ctx.full_rd:
@@ -586,12 +571,8 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     state.clock = clock + dt
     state.steps += 1
     state.dt_last = dt
-    sup = _max(u_new)
-    # a bound that is not positive (or is NaN) gives way to the exact minimum
-    if not low > 0.0:
-        low = _min(u_new)
-    # with a positive lower bound, a finite sup makes every entry finite;
-    # otherwise both are finite exactly when every entry is
+    sup, low = _max(u_new), _min(u_new)
+    # both are finite exactly when every entry is
     if not (math.isfinite(sup) and math.isfinite(low)) or low <= 0.0:
         state.verdict = Verdict.NON_FINITE
     return sup, low

@@ -302,7 +302,10 @@ def test_cli_convert_time_prints_sigma_of_t(law, flags, capsys):
      "logistic requires m > 0 and m != 1"),
     (["--evolution", "exp_decay", "--beta", "0.4", "--dimension", "3", "--t", "1.0"],
      "exp_decay requires beta < 1/N"),
-], ids=["t_nan", "sigma_nan", "logistic_without_m", "exp_decay_too_fast_in_3d"])
+    (["--evolution", "exp_decay", "--beta", "0.1", "--t", "1e10"],
+     "sigma at t = 10000000000.0 overflows a float"),
+], ids=["t_nan", "sigma_nan", "logistic_without_m", "exp_decay_too_fast_in_3d",
+        "exp_decay_sigma_overflows"])
 def test_cli_convert_time_rejects_bad_input(argv, message, capsys):
     assert main(["convert-time", *argv]) == 2
     assert message in capsys.readouterr().err

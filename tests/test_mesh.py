@@ -436,6 +436,27 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(read_field_csv(str(path2), RadialGrid(1, 8)).values, fr.values)
 
 
+def test_field_csv_read_rejects_a_malformed_file_naming_it(tmp_path):
+    path = tmp_path / "field.csv"
+    path.write_text("")
+    for grid in (RectGrid(6, 4), RadialGrid(3, 8)):
+        with pytest.raises(ValueError, match=re.escape(f"{path} is empty")):
+            read_field_csv(str(path), grid)
+    # a 6x4 header over 23 values, one short
+    path.write_text("6,4\n" + "0.5\n" * 23)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path} has 23 values, not nx*ny = 24")):
+        read_field_csv(str(path), RectGrid(6, 4))
+    # a radial row that lost its value
+    gr = RadialGrid(3, 8)
+    rows = [f"{float(r)!r},1.0" for r in gr.R]
+    rows[3] = f"{float(gr.R[3])!r}"
+    path.write_text("R,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path} has a row {rows[3]!r}, not the two fields R,value")):
+        read_field_csv(str(path), gr)
+
+
 @pytest.mark.parametrize("make, name, value", [
     (lambda v: RectGrid(v, 10), "nx", 10.0),
     (lambda v: RectGrid(10, v), "ny", 10.0),

@@ -752,8 +752,8 @@ SPIKE = InitSpec(InitKind.SPIKY, delta=0.8, lam=0.1)
         "ball_nonlocal_sigma", "ball_shadow_tau", "ball_quench", "overflow",
         "shadow_tau_balanced_eta0", "full_rd_default_v0"])
 def test_advance_matches_step_loop(cfg, verdict, monkeypatch):
-    # advance() carries each step's max and a lower bound on its min into the
-    # next; step() takes both exactly on every call
+    # advance() carries each step's max and min into the next; step() takes
+    # both from the state on every call
     states = []
 
     class Recorded(RunState):
@@ -813,21 +813,22 @@ DIRICHLET_BALL = small_cfg(law=EvolutionLaw.static(3),
 
 
 @pytest.mark.parametrize("cfg, u0", [
-    # the guard binds at the tall node's neighbours, and low + dt*min du (min
-    # du is the tall node's) falls below zero: the step takes the exact minimum
+    # the positivity guard binds at the tall node's neighbours, which sit at
+    # the minimum and take its largest inflow
     (small_cfg(), _one_tall_node((9, 9), 0.01, 3.0)),
     # the pinned outer node holds the minimum while every rate is positive
     (DIRICHLET_BALL, np.full(DIRICHLET_BALL.grid.shape, 2.0)),
 ], ids=["rect_tall_node", "ball_dirichlet_growth"])
 def test_step_carries_the_max_and_a_positive_lower_bound_on_the_min(cfg, u0):
-    # _step driven as advance() drives it, from u0
+    # _step driven as advance() drives it, from u0: it returns the exact
+    # extremes of the u it leaves, the next step's sup and low
     ctx = solver._Ctx(cfg)
     state = RunState(u=u0.copy(), aux=None, clock=0.0)
     sup, low = float(u0.max()), float(u0.min())
     while state.verdict is None:
         sup, low = solver._step(ctx, state, sup, low)
         assert sup == state.u.max()
-        assert 0.0 < low <= state.u.min()
+        assert low == state.u.min() > 0.0
     assert state.verdict is not Verdict.NON_FINITE
 
 
@@ -1077,9 +1078,13 @@ OTHER_GRID = re.escape("u is on RectGrid(nx=10, ny=10), the config on RectGrid(n
      "shadow_tau needs a finite eta, got nan", None),
     (SystemKind.NONLOCAL_SIGMA, TABLE1, RectGrid(9, 9), None, int,
      "u has dtype int64, not a float dtype", None),
+    (SystemKind.FULL_RD, TAU, RectGrid(9, 9), np.full((9, 9), 2), float,
+     "v has dtype int64, not a float dtype", None),
+    (SystemKind.FULL_RD, TAU, RectGrid(9, 9), np.full((9, 9), 2 + 0j), float,
+     "v has dtype complex128, not a float dtype", None),
 ], ids=["u_shape", "shadow_tau_no_eta", "nonlocal_sigma_array", "nonlocal_t_float",
         "full_rd_float", "full_rd_v_shape", "shadow_tau_inf_eta", "shadow_tau_nan_eta",
-        "int_u"])
+        "int_u", "int_v", "complex_v"])
 def test_step_and_rhs_reject_a_state_that_does_not_fit(
         system, params, grid, aux, dtype, step_message, rhs_message):
     cfg = small_cfg(system=system, params=params)
