@@ -95,8 +95,6 @@ def threshold_integral(
         raise ValueError(f"threshold integral needs omega > 1, got omega={w}")
     k = law.kind
     if k is LawKind.STATIC:
-        if math.isinf(sigma_max):
-            return 1.0 / (w - 1.0)
         return (1.0 - math.exp((1.0 - w) * sigma_max)) / (w - 1.0)
     if k is LawKind.LOGISTIC:
         t_max = math.inf if math.isinf(sigma_max) else t_of_sigma(law, sigma_max)

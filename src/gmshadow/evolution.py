@@ -128,8 +128,6 @@ def dilution_coefficient(law: EvolutionLaw, t: float) -> float:
     if k is LawKind.STATIC:
         return 1.0
     if k is LawKind.LOGISTIC:
-        if math.isinf(t):
-            return 1.0
         # rho' = beta*rho*(1 - rho/m), so N*rho'/rho = N*beta*(1-1/m) / (1+(e^{bt}-1)/m)
         return 1.0 + n * b * (1.0 - 1.0 / law.m) / (1.0 + (math.exp(b * t) - 1.0) / law.m)
     return 1.0 + n * _exp_rate(law)
@@ -153,8 +151,6 @@ def sigma_of_t(law: EvolutionLaw, t: float) -> float:
     if k is LawKind.EXP_DECAY:
         return (math.expm1(2.0 * b * t)) / (2.0 * b)
     # logistic: 1/rho = (1-1/m)e^{-bt} + 1/m, expand the square and integrate
-    if math.isinf(t):
-        return math.inf
     a, c = 1.0 - 1.0 / law.m, 1.0 / law.m
     return (
         a * a * (1.0 - math.exp(-2.0 * b * t)) / (2.0 * b)

@@ -417,11 +417,6 @@ def _fast_pow(u: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndar
     if e == 4.0:
         sq = np.multiply(u, u, out=out)
         return np.multiply(sq, sq, out=sq)
-    if e == 0.0:
-        if out is None:
-            return np.ones_like(u)
-        out.fill(1.0)
-        return out
     return np.power(u, e, out=out)
 
 
@@ -445,13 +440,23 @@ def write_field_csv(f: Field, path: str) -> None:
                 fh.write(f"{float(rr)!r},{float(v)!r}\n")
 
 
+def _number(path: str, row: str, text: str) -> float:
+    """float(text), a field of the data row `row`; ValueError naming the path
+    and the row when it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path} has a row {row!r}, whose {text!r} is not a number") from None
+
+
 def read_field_csv(path: str, grid: Grid) -> Field:
     """Inverse of write_field_csv for a known grid.  ValueError, naming the
     path, for an empty file, for a rectangle file whose "nx,ny" header is
-    not the grid's or that holds other than nx*ny values, and for a radial
-    file whose header is not "R,value", that has a row of other than two
+    not the grid's or that holds other than nx*ny values, for a radial file
+    whose header is not "R,value", that has a row of other than two
     comma-separated fields, or whose R column is not the grid's R (compared
-    exactly, as it was written by repr).  The R column is the same on every
+    exactly, as it was written by repr), and, naming the row too, for a
+    value or R that is not a number.  The R column is the same on every
     ball dimension, so a file from a ball of another dimension with the
     same M cannot be told apart."""
     with open(path) as fh:
@@ -466,17 +471,17 @@ def read_field_csv(path: str, grid: Grid) -> Field:
         n = grid.nx * grid.ny
         if len(lines) - 1 != n:
             raise ValueError(f"{path} has {len(lines) - 1} values, not nx*ny = {n}")
-        vals = np.array([float(x) for x in lines[1:]])
+        vals = np.array([_number(path, x, x) for x in lines[1:]])
         return Field(grid, vals.reshape(grid.shape))
     if lines[0] != "R,value":
         raise ValueError(f"{path} has header {lines[0]}, not the radial grid's R,value")
     for line in lines[1:]:
         if line.count(",") != 1:
             raise ValueError(f"{path} has a row {line!r}, not the two fields R,value")
-    rows = [line.split(",") for line in lines[1:]]
-    if [float(row[0]) for row in rows] != grid.R.tolist():
+    rows = [[_number(path, line, x) for x in line.split(",")] for line in lines[1:]]
+    if [row[0] for row in rows] != grid.R.tolist():
         raise ValueError(
             f"{path} has an R column of {len(rows)} nodes that is not the grid's, "
             f"M = {grid.M}"
         )
-    return Field(grid, np.array([float(row[1]) for row in rows]))
+    return Field(grid, np.array([row[1] for row in rows]))

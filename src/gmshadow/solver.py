@@ -23,7 +23,7 @@ the family's clock, with e = gamma for the non-local families and e = 0
 with an inhibitor, so a = Phi(s) or L(t) and b = Psi, phi^2, L^gamma or 1;
 denom = (avg u^r)^gamma, eta^q or v^q.  The inhibitors reuse the same a.
 The rate is formed in the Laplacian's fresh output array, in that order,
-and a multiply or divide by a coefficient equal to 1.0 is skipped.  The
+and a multiply by a coefficient d, a or b equal to 1.0 is skipped.  The
 sigma-clock families stop at evolution.clock_end.  Every weighted mean is
 _Ctx.average or mesh.mean, one kernel: BLAS dot products over blocks of at
 most 8,192 entries, summed left to right, so no dot is split across BLAS
@@ -44,7 +44,8 @@ along x it is two matvecs on the column, exactly constant along x.
 A step allocates one array, the new u: the rate is formed in the
 Laplacian's fresh output and u + dt*du in that same buffer, so state.u is
 always a fresh array and no array a caller holds is written.  Every other
-temporary lives in the context's workspace (below).  Every extreme a step
+temporary lives in the context's workspace (below), but for the
+positivity guard's |du|, made on the few steps its shortcut fails.  Every extreme a step
 takes is read at argmax/argmin (_max, _min): the same float as
 ndarray.max()/min(), NaN included, for less (about 1 us against 2.3 us on
 512 entries, 2-vCPU host).  A step takes the max and min of du, which give
@@ -86,11 +87,11 @@ flags, and what the config fixes.  rho^2 is 1 in the sigma clock and under
 the static law, and (a, b) does not move under the static law nor, in t,
 under an exponential law (L = 1 + N r); there they are worked out once,
 and otherwise once per step.  The context also holds the step workspace:
-the mean's power of u (u^r in a step), u^p, a*u, the dt guard's |du|, and
-the Laplacian's own buffers (the rectangle's ghost frame, the ball's
-zero-padded fluxes), all overwritten by every step.  A multiply by a or b
-equal to 1.0 is skipped, and with r = 2 and p = 4 the step squares the
-mean's u^2 for u^4, the product fast_pow would form.  advance() builds one
+the mean's power of u (u^r in a step), u^p, a*u, and the Laplacian's own
+buffers (the rectangle's ghost frame, the ball's zero-padded fluxes), all
+overwritten by every step.  Every family forms u^r before u^p (the mean,
+or FULL_RD's kinetics), so with r = 2 and p = 4 the step squares that u^2
+for u^4, the product fast_pow would form.  advance() builds one
 context per run; step() keeps one on the RunState and rebuilds it only
 when the config no longer equals the snapshot the context was built from,
 so an in-place edit of a RunConfig between calls takes effect, and each
@@ -327,13 +328,11 @@ class _Ctx:
         if law.kind is LawKind.STATIC or (kind.t_native and law.kind is not LawKind.LOGISTIC):
             self.ab = self.coefficients(0.0)
         # the workspace, overwritten by every step: the mean's power of u
-        # (u^r in a step), u^p, a*u (then b*u^p/denom when u^p is u), and
-        # the dt guard's |du|
-        self.ur, self.up, self.scratch, self.mag = np.empty((4, *shape))
-        # fast_pow forms u^4 as (u^2)^2, so with r = 2 the u^r that the step
-        # formed for the mean or FULL_RD's kinetics is u^4's factor
-        forms_ur = kind in _INHIBITOR_FAMILIES or self.idx.gamma != 0.0
-        self.up_from_ur = forms_ur and p.r == 2.0 and p.p == 4.0
+        # (u^r in a step), u^p, and a*u (then b*u^p/denom when u^p is u)
+        self.ur, self.up, self.scratch = np.empty((3, *shape))
+        # fast_pow forms u^4 as (u^2)^2, so with r = 2 the u^r that every
+        # step forms for the mean or FULL_RD's kinetics is u^4's factor
+        self.up_from_ur = p.r == 2.0 and p.p == 4.0
 
     def __reduce__(self):
         # the operators are closures; a copy rebuilds them with its own buffers
@@ -449,12 +448,11 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
         vs = denom if p.s == p.q else fast_pow(v, p.s)
         daux = (-a * v + fast_pow(u, p.r, ctx.ur) / vs) / p.tau
     else:
-        gamma = ctx.idx.gamma
-        denom = ctx.nonlocal_mean(u, p.r) ** gamma if gamma != 0.0 else 1.0
+        denom = ctx.nonlocal_mean(u, p.r) ** ctx.idx.gamma
         daux = None
     # formed in the Laplacian's fresh output in the order of
-    # ((d*Lap u) - a*u) + ((b*u^p)/denom), skipping the exact identities
-    # x*1.0 and x/1.0; u^p is u itself when p = 1, so it is never scaled in place
+    # ((d*Lap u) - a*u) + ((b*u^p)/denom), skipping the exact identity x*1.0;
+    # u^p is u itself when p = 1, so it is never scaled in place
     du = ctx.laplacian(u)
     d = p.D1 / rho2
     if d != 1.0:
@@ -467,13 +465,11 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
     out = ctx.scratch if up is u else up
     if b != 1.0:
         up = np.multiply(up, b, out=out)
-    if isinstance(denom, np.ndarray) or denom != 1.0:
-        up = np.divide(up, denom, out=out)
-    du += up
+    du += np.divide(up, denom, out=out)
     return du, daux, v_low
 
 
-def _guarded_dt(dt: float, vals, sup: float, low: float, dvals, mag=None) -> float:
+def _guarded_dt(dt: float, vals, sup: float, low: float, dvals) -> float:
     """dt limited by the relative growth clamp and the positivity guard, which
     keeps a positive explicit-Euler update of vals (maximum sup, minimum
     low) comfortably positive.  Any lower bound on vals as low gives the
@@ -483,12 +479,12 @@ def _guarded_dt(dt: float, vals, sup: float, low: float, dvals, mag=None) -> flo
     when any entry is).  The guard min(vals/(|dvals| + 1e-300)) is at least
     low/(max |dvals| + 1e-300), as rounding is monotone, so when that bound
     already allows dt the guard cannot bind; only otherwise do the guard's
-    four passes run, in `mag`, an array of dvals' shape, when one is given.
+    four passes run.
     """
     mx = max(_max(dvals), -_min(dvals))
     dt = min(dt, 0.1 * (1.0 + sup) / (1.0 + mx))
     if 0.45 * (low / (mx + 1e-300)) < dt:
-        mag = np.abs(dvals, out=mag)
+        mag = np.abs(dvals)
         mag += 1e-300
         np.divide(vals, mag, out=mag)
         dt = min(dt, 0.45 * _min(mag))
@@ -541,16 +537,16 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
     # the diffusion cap, the growth clamp and the positivity guards, scaled
     # by dt_safety and clipped to the end of the run
     dt = min(cfg.dt, ctx.h2 / (4.0 * (cfg.params.D1 / rho2)))
-    dt = _guarded_dt(dt, u, sup, low, du, ctx.mag)
+    dt = _guarded_dt(dt, u, sup, low, du)
     if ctx.shadow:
         dt = min(dt, 0.45 * aux / (abs(daux) + 1e-300))
     elif ctx.full_rd:
-        dt = _guarded_dt(dt, aux, _max(aux), v_low, daux, ctx.mag)
+        dt = _guarded_dt(dt, aux, _max(aux), v_low, daux)
     dt = min(dt * cfg.dt_safety, end - clock)
     if not math.isfinite(dt) or dt <= 0.0:
         state.verdict = Verdict.NON_FINITE
         return sup, low
-    # u + dt*du, formed in du's buffer, the one array a step allocates
+    # u + dt*du, formed in du's buffer
     u_new = du
     u_new *= dt
     u_new += u

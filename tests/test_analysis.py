@@ -50,6 +50,13 @@ def test_threshold_integral_values():
     assert threshold_integral(GROWTH, IDX) == pytest.approx(0.7057770216607713, rel=1e-12)
     assert threshold_integral(DECAY, IDX) == pytest.approx(0.8079130087619564, rel=1e-12)
     assert threshold_integral(STATIC, IDX) == pytest.approx(0.75, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, q, r, s", [(3, 2, 1, 2), (4, 1, 1, 1), (2.5, 1.3, 0.7, 0.4)])
+def test_static_threshold_integral_to_infinity_is_exact(p, q, r, s):
+    idx = derive_indices(Parameters(p=p, q=q, r=r, s=s))
+    assert idx.omega > 1.0
+    assert threshold_integral(STATIC, idx) == 1.0 / (idx.omega - 1.0)
     # finite static horizon: (1 - e^{(1-w)S})/(w-1)
     S = 0.5
     expect = (1 - math.exp((1 - 7 / 3) * S)) / (7 / 3 - 1)

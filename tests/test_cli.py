@@ -147,6 +147,13 @@ def test_parse_rejects_bad_dt(tmp_path):
         parse_config(write(tmp_path, bad))
 
 
+def test_parse_rejects_an_unknown_grid_kind(tmp_path):
+    bad = MINIMAL_STATIC.replace("kind = rect", "kind = hex")
+    with pytest.raises(ConfigError, match=re.escape(
+            "bad value for [grid] kind: 'hex' (expected rect or radial)")):
+        parse_config(write(tmp_path, bad))
+
+
 def test_parse_rejects_missing_param(tmp_path):
     bad = MINIMAL_STATIC.replace("p = 3\n", "")
     with pytest.raises(ConfigError, match="p"):
@@ -379,6 +386,21 @@ def test_run_preset_smoke(tmp_path):
     assert "verdict=BlowUp" in summary
     header = (base / "run" / "series.csv").read_text().splitlines()[0]
     assert header == "t,sigma,sup_norm,mean_u,zeta,w_moment,eta_or_supv"
+
+
+def test_summary_orders_only_the_runs_that_blow_up(tmp_path):
+    # exp_growth (t = 0.2025) and logistic (t = 0.2300) blow up by t = 0.24;
+    # static (t = 0.246) and exp_decay end HorizonReached and are left out
+    rc = run_preset("exp1", str(tmp_path), overrides={
+        "nx": 17, "ny": 17, "blowup_threshold": 10.0, "end_time": 0.24})
+    assert rc == 0
+    lines = (tmp_path / "exp1" / "summary.txt").read_text().splitlines()
+    verdicts = {line.split()[0]: line.split()[1] for line in lines[1:-1]}
+    assert verdicts == {
+        "run=static": "verdict=HorizonReached", "run=exp_growth": "verdict=BlowUp",
+        "run=exp_decay": "verdict=HorizonReached", "run=logistic": "verdict=BlowUp",
+    }
+    assert lines[-1] == "blowup_order_t: exp_growth < logistic"
 
 
 # exp1 cut down to four steps on 17x17: four runs, more than two workers

@@ -210,7 +210,10 @@ def test_coefficient_bounds_rejects_bad_interval(horizon):
 def test_infinite_clocks_stay_legal():
     for law in ALL:
         assert sigma_of_t(law, math.inf) == sigma_horizon(law)
-    assert dilution_coefficient(LOGISTIC, math.inf) == 1.0
+    # the logistic closed forms at t = inf, for a growing and a shrinking law
+    for law in (LOGISTIC, EvolutionLaw.logistic(0.8, 0.5, 1), EvolutionLaw.logistic(3.0, 0.5, 3)):
+        assert dilution_coefficient(law, math.inf) == 1.0
+        assert sigma_of_t(law, math.inf) == math.inf
     assert dissipation_coeff(DECAY, math.inf) == 0.0
     assert reaction_coeff(LOGISTIC, math.inf, 0.4) == 1.5**2
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def test_profile_rejects_a_non_finite_value(kind, name, value):
     # nan used to pass to advance() and end NON_FINITE after one sample
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         InitSpec(kind, **{name: value})
+
+
+@pytest.mark.parametrize("kind, kw, message", [
+    (InitKind.COSINE_PLUS, dict(c=1.0), "cosine profile needs c > 1 for positivity, got c=1.0"),
+    (InitKind.CONSTANT, dict(c=0.0), "constant profile needs c > 0, got c=0.0"),
+    (InitKind.SPIKY, dict(delta=0.0), "spiky profile needs 0 < delta < 1, got 0.0"),
+    (InitKind.SPIKY, dict(delta=1.0), "spiky profile needs 0 < delta < 1, got 1.0"),
+    (InitKind.SPIKY, dict(lam=0.0), "spiky profile needs lambda > 0, got 0.0"),
+], ids=["cosine_c", "constant_c", "delta0", "delta1", "lambda"])
+def test_range_checks_name_the_value(kind, kw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        InitSpec(kind, **kw)
 
 
 def test_constant_profile():

@@ -18,7 +18,7 @@ from gmshadow import (
     write_field_csv,
 )
 from gmshadow.initdata import spike_profile
-from gmshadow.mesh import _dct1_matrix
+from gmshadow.mesh import _dct1_matrix, _fast_pow
 
 
 def rect_field(n, fn):
@@ -438,23 +438,56 @@ def test_field_csv_roundtrip(tmp_path):
 
 def test_field_csv_read_rejects_a_malformed_file_naming_it(tmp_path):
     path = tmp_path / "field.csv"
-    path.write_text("")
-    for grid in (RectGrid(6, 4), RadialGrid(3, 8)):
-        with pytest.raises(ValueError, match=re.escape(f"{path} is empty")):
-            read_field_csv(str(path), grid)
-    # a 6x4 header over 23 values, one short
-    path.write_text("6,4\n" + "0.5\n" * 23)
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path} has 23 values, not nx*ny = 24")):
-        read_field_csv(str(path), RectGrid(6, 4))
-    # a radial row that lost its value
     gr = RadialGrid(3, 8)
-    rows = [f"{float(r)!r},1.0" for r in gr.R]
-    rows[3] = f"{float(gr.R[3])!r}"
-    path.write_text("R,value\n" + "\n".join(rows) + "\n")
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path} has a row {rows[3]!r}, not the two fields R,value")):
-        read_field_csv(str(path), gr)
+    radial = [f"{float(r)!r},1.0" for r in gr.R]
+
+    def radial_with(i, row):
+        rows = list(radial)
+        rows[i] = row
+        return "R,value\n" + "\n".join(rows) + "\n"
+
+    lost = f"{float(gr.R[3])!r}"
+    bad_value = f"{float(gr.R[5])!r},abc"
+    cases = [
+        (RectGrid(6, 4), "", "is empty"),
+        (gr, "", "is empty"),
+        # a 6x4 header over 23 values, one short
+        (RectGrid(6, 4), "6,4\n" + "0.5\n" * 23, "has 23 values, not nx*ny = 24"),
+        # a radial row that lost its value
+        (gr, radial_with(3, lost), f"has a row {lost!r}, not the two fields R,value"),
+        # a value, an R and a radial value that are not numbers
+        (RectGrid(6, 4), "6,4\n" + "0.5\n" * 10 + "abc\n" + "0.5\n" * 13,
+         "has a row 'abc', whose 'abc' is not a number"),
+        (gr, radial_with(2, "R2,1.0"), "has a row 'R2,1.0', whose 'R2' is not a number"),
+        (gr, radial_with(5, bad_value), f"has a row {bad_value!r}, whose 'abc' is not a number"),
+    ]
+    for grid, text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path} {message}")):
+            read_field_csv(str(path), grid)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RectGrid(2, 5), "need nx, ny >= 3, got 2x5"),
+    (lambda: RectGrid(5, 2), "need nx, ny >= 3, got 5x2"),
+    (lambda: RadialGrid(0, 10), "ambient dimension must be 1, 2 or 3, got 0"),
+    (lambda: RadialGrid(4, 10), "ambient dimension must be 1, 2 or 3, got 4"),
+    (lambda: RadialGrid(3, 2), "need M >= 3 nodes, got 2"),
+    (lambda: RadialGrid(3, 10, outer_bc="robin"),
+     "outer_bc must be neumann or dirichlet, got robin"),
+], ids=["nx", "ny", "dim0", "dim4", "M", "outer_bc"])
+def test_grid_range_checks_name_the_value(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_fast_pow_to_the_zero_is_one_at_every_float():
+    x = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5, 3.0])
+    want = np.ones_like(x)
+    fresh = _fast_pow(x, 0.0)
+    assert fresh is not x and fresh.tobytes() == want.tobytes()
+    out = np.full_like(x, 7.0)
+    assert _fast_pow(x, 0.0, out) is out and out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("make, name, value", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -50,6 +51,25 @@ def test_rejects_non_finite_fields(field, value):
     kw[field] = value
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         Parameters(**kw)
+
+
+TABLE1 = dict(p=3, q=2, r=1, s=2)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Parameters(**{**TABLE1, "s": -1.0}), "s must exceed -1 (gamma finite), got s=-1.0"),
+    (lambda: Parameters(**{**TABLE1, "r": 0.0}), "r must be positive (pi finite), got r=0.0"),
+    (lambda: Parameters(**{**TABLE1, "q": -0.5}), "q must be nonnegative, got q=-0.5"),
+    (lambda: Parameters(**TABLE1, D1=0.0), "D1 must be positive, got D1=0.0"),
+    (lambda: Parameters(**TABLE1, D2=-1.0), "D2 must be positive, got D2=-1.0"),
+    (lambda: Parameters(**TABLE1, tau=-0.01), "tau must be nonnegative, got tau=-0.01"),
+    (lambda: global_existence_condition(derive_indices(Parameters(**TABLE1)),
+                                        Parameters(**TABLE1), 0),
+     "dimension must be >= 1, got 0"),
+], ids=["s", "r", "q", "D1", "D2", "tau", "n_dim"])
+def test_range_checks_name_the_value(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_derive_indices_deterministic():

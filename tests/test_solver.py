@@ -172,7 +172,7 @@ RECT_GRID = RectGrid(14, 11)
 BALL_GRID = RadialGrid(3, 33)
 # p = 4, r = 2: a step forms u^4 as the square of the mean's u^2
 SHARED_POWER = Parameters(p=4, q=4, r=2, s=1, D1=0.37)
-NO_MEAN = Parameters(p=4, q=0, r=2, s=1, D1=0.37)  # gamma = 0: no u^2 to share
+ZERO_GAMMA = Parameters(p=4, q=0, r=2, s=1, D1=0.37)  # gamma = 0: u^4 still squares the mean's u^2
 RHS_CASES = [
     (SystemKind.NONLOCAL_SIGMA, STATIC, KINETICS, RECT_GRID),
     (SystemKind.NONLOCAL_SIGMA, GROWTH, KINETICS, RECT_GRID),
@@ -191,7 +191,7 @@ RHS_CASES = [
     (SystemKind.NONLOCAL_T, EvolutionLaw.exp_decay(0.1, 3), SHARED_POWER, BALL_GRID),
     (SystemKind.NONLOCAL_SIGMA, EvolutionLaw.exp_growth(0.1, 3), KINETICS, BALL_GRID),
     (SystemKind.SHADOW_TAU, EvolutionLaw.exp_decay(0.1, 3), KINETICS, BALL_GRID),
-    (SystemKind.NONLOCAL_SIGMA, EvolutionLaw.static(3), NO_MEAN, BALL_GRID),
+    (SystemKind.NONLOCAL_SIGMA, EvolutionLaw.static(3), ZERO_GAMMA, BALL_GRID),
 ]
 
 

@@ -1,0 +1,98 @@
+"""Byte-identity gate: every preset, run from two checkouts, must write the
+same bytes.
+
+    python3 tools/byte_identity.py PARENT_CHECKOUT CHANGE_CHECKOUT
+
+For each checkout it runs all six presets with `python -m gmshadow.cli run`
+from that checkout's src, twice: pooled (the runs of a preset in worker
+processes, one per usable CPU) and pinned to one CPU, where they run one
+after another in one process.  The pin is the child's own affinity, set
+with os.sched_setaffinity to the first CPU this process may use.  The
+three other trees are then compared with the parent's pooled tree byte for
+byte: every series.csv, report.txt, snapshot and summary.txt.  It prints
+one line per tree and exits 0 when all are identical, and 1, naming each
+differing or missing file, otherwise.  A preset whose command fails (exit
+status other than 0, or 1 for a NonFinite verdict) is an error, exit 2.
+
+The trees go to a temporary directory, removed at the end; README's loop
+keeps them for a closer look.  Stdlib only; needs os.sched_setaffinity
+(Linux).
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+PRESETS = ("exp1", "exp1q", "exp2a", "exp2b", "exp3", "exp4")
+
+
+def run_presets(checkout: Path, outdir: Path, cpu: int | None) -> None:
+    """Every preset from checkout's src into outdir; on CPU `cpu` alone
+    when it is given, pooled otherwise."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    for preset in PRESETS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmshadow.cli", "run", preset, "--outdir", str(outdir)],
+            cwd=checkout, env=env, preexec_fn=pin, capture_output=True, text=True)
+        if proc.returncode not in (0, 1):
+            print(f"{checkout}: preset {preset} failed with exit status "
+                  f"{proc.returncode}\n{proc.stderr}", file=sys.stderr)
+            sys.exit(2)
+
+
+def files(root: Path) -> set[Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def differences(ref: Path, other: Path) -> list[str]:
+    """The files that differ between the trees or are in one alone."""
+    a, b = files(ref), files(other)
+    out = [f"only in {ref.name}: {p}" for p in sorted(a - b)]
+    out += [f"only in {other.name}: {p}" for p in sorted(b - a)]
+    out += [f"differs: {p}" for p in sorted(a & b)
+            if not filecmp.cmp(ref / p, other / p, shallow=False)]
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    args = ap.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        if not (checkout / "src" / "gmshadow").is_dir():
+            ap.error(f"{checkout} has no src/gmshadow")
+    cpu = min(os.sched_getaffinity(0))
+    with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
+        trees = {}
+        for label, checkout in (("parent", args.parent), ("change", args.change)):
+            for mode, pin in (("pooled", None), ("1cpu", cpu)):
+                tree = Path(tmp) / f"{label}_{mode}"
+                start = time.perf_counter()
+                run_presets(checkout.resolve(), tree, pin)
+                trees[tree.name] = tree
+                print(f"{tree.name}: {len(files(tree))} files in "
+                      f"{time.perf_counter() - start:.1f} s")
+        ref = trees.pop("parent_pooled")
+        bad = False
+        for name, tree in trees.items():
+            diff = differences(ref, tree)
+            if diff:
+                bad = True
+                print(f"{name} differs from parent_pooled:")
+                print("\n".join(f"  {line}" for line in diff))
+            else:
+                print(f"{name} identical to parent_pooled ({len(files(ref))} files)")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
