@@ -19,8 +19,6 @@ what one usable CPU gives (e.g. under `taskset -c 0`).
 
 from __future__ import annotations
 
-import argparse
-import configparser
 import contextlib
 import os
 import sys
@@ -269,6 +267,10 @@ def parse_config(path: str) -> RunConfig:
     Unknown sections and keys are errors, and so are keys that the chosen
     grid or init kind does not use.
     """
+    # imported here, as argparse is in main(), so that `import gmshadow.cli`
+    # does not load it
+    import configparser
+
     # no section is configparser's DEFAULT, so [DEFAULT] is an unknown section
     cp = configparser.ConfigParser(default_section="")
     try:
@@ -456,6 +458,8 @@ def bounds_report_text(cfg: RunConfig) -> str:
 # -------------------------------------------------------------- CLI plumbing
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
+
     ap = argparse.ArgumentParser(prog="gmshadow", description=__doc__)
     sub = ap.add_subparsers(dest="verb", required=True)
 

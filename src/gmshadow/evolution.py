@@ -28,6 +28,7 @@ where it is called, so the static and exponential laws never load it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,8 +67,20 @@ class EvolutionLaw:
             raise ValueError(
                 f"exp_decay requires beta < 1/N so 1-N*beta > 0, got beta={self.beta}"
             )
-        if self.kind is LawKind.LOGISTIC and (self.m <= 0.0 or self.m == 1.0):
-            raise ValueError(f"logistic requires m > 0 and m != 1, got m={self.m}")
+        if self.kind is LawKind.LOGISTIC:
+            if self.m <= 0.0 or self.m == 1.0:
+                raise ValueError(f"logistic requires m > 0 and m != 1, got m={self.m}")
+            # sigma_of_t's expanded square has the terms (1 - 1/m)^2,
+            # 2(1 - 1/m)/m and (1/m)^2: an overflow in the first two (the
+            # second is the larger for m < 1), or an underflow in the last
+            # times t = inf, makes it -inf or NaN
+            a, c = 1.0 - 1.0 / self.m, 1.0 / self.m
+            if math.isinf(2.0 * a * c) or c * c < sys.float_info.min:
+                raise ValueError(
+                    f"logistic m={self.m} is out of range: 2(1 - 1/m)/m or (1/m)^2 "
+                    "leaves the normal float range, so the closed forms are not "
+                    "finite; m must lie between about 1.1e-154 and 6.7e153"
+                )
 
     @staticmethod
     def static(dimension: int = 2) -> "EvolutionLaw":
@@ -150,6 +163,10 @@ def sigma_of_t(law: EvolutionLaw, t: float) -> float:
         return (1.0 - math.exp(-2.0 * b * t)) / (2.0 * b)
     if k is LawKind.EXP_DECAY:
         return (math.expm1(2.0 * b * t)) / (2.0 * b)
+    if math.isinf(t):
+        # the c*c*t term; the others, finite in exact arithmetic, can overflow
+        # with opposite signs for a small m
+        return math.inf
     # logistic: 1/rho = (1-1/m)e^{-bt} + 1/m, expand the square and integrate
     a, c = 1.0 - 1.0 / law.m, 1.0 / law.m
     return (

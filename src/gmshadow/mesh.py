@@ -63,12 +63,14 @@ class RectGrid:
         return np.linspace(0.0, 1.0, self.ny)
 
     def quad_weights(self) -> np.ndarray:
-        wx = np.full(self.nx, self.hx)
-        wx[0] = wx[-1] = self.hx / 2
-        wy = np.full(self.ny, self.hy)
-        wy[0] = wy[-1] = self.hy / 2
-        w = np.outer(wy, wx)
+        w = np.outer(_trapezoid(self.ny), _trapezoid(self.nx))
         return w / w.sum()
+
+    def column_weights(self) -> np.ndarray:
+        """The weights of a field constant along x on its column: the
+        y-trapezoid weights, normalised to sum to 1 up to rounding."""
+        wy = _trapezoid(self.ny)
+        return wy / wy.sum()
 
     def laplacian_operator(self) -> Stencil:
         """5-point Laplacian on (ny, nx) arrays, Neumann by ghost-node reflection.
@@ -161,7 +163,7 @@ class RectGrid:
         shape = self.shape
 
         def solve(v: np.ndarray, nu: float) -> np.ndarray:
-            if v.dtype == np.float64 and _x_invariant(v):
+            if _x_invariant(v):
                 return np.broadcast_to(column(v[:, :1], nu), shape).copy()
             vhat = cy @ v @ cxt
             vhat /= norm * (1.0 - nu * lam)
@@ -182,6 +184,14 @@ class RectGrid:
         return _column_solve(_dct1_matrix(self.ny), _dct1_eigenvalues(self.ny))
 
 
+def _trapezoid(n: int) -> np.ndarray:
+    """The trapezoid weights of n nodes spaced 1/(n-1) on [0, 1]."""
+    h = 1.0 / (n - 1)
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2
+    return w
+
+
 def _column_solve(cy: np.ndarray, ly: np.ndarray) -> Resolvent:
     norm = 2.0 * (len(ly) - 1)
     ly = ly[:, None]
@@ -197,10 +207,16 @@ def _column_solve(cy: np.ndarray, ly: np.ndarray) -> Resolvent:
 
 
 def _x_invariant(u: np.ndarray) -> bool:
-    """Whether every column of a (ny, nx) float64 array equals its first bit
-    for bit (signed zeros and NaN payloads included).  Column 1 is compared
-    first, so a field that varies along x is usually told in one column."""
+    """Whether u, a (ny, nx) array, is float64 and its every column equals
+    its first bit for bit (signed zeros and NaN payloads included); other
+    dtypes' bits do not view as int64.  Node (0, 1) and then column 1 are
+    compared first, so a field that varies along x is usually told at one
+    node, and otherwise in one column."""
+    if u.dtype != np.float64:
+        return False
     bits = u.view(np.int64)
+    if bits.item(0, 0) != bits.item(0, 1):
+        return False
     first = bits[:, :1]
     return bool((bits[:, 1:2] == first).all() and (bits == first).all())
 
@@ -371,15 +387,32 @@ def laplacian(f: Field) -> Field:
 def mean(f: Field, power: float = 1.0) -> float:
     """Domain average (1/|Omega|) int f^power by the grid's quadrature.
 
-    Rectangle: tensor trapezoid.  Ball: cell-volume weights for the measure
-    N*R^(N-1) dR.  Both weight sets are normalised to sum to 1 up to
-    rounding.  This is the solver's kernel, so a field's mean here equals
-    the solver's mean of it bit for bit.
+    Rectangle: tensor trapezoid, or the normalised y-trapezoid on the first
+    column when f^power is constant along x (see _rect_average).  Ball:
+    cell-volume weights for the measure N*R^(N-1) dR.  Every weight set is
+    normalised to sum to 1 up to rounding.  This is the solver's kernel, so
+    a field's mean here equals the solver's mean of it bit for bit.
     """
-    u = f.values
+    u, g = f.values, f.grid
     if power < 0.0 and np.any(u <= 0.0):
         raise ValueError("negative power requires strictly positive values")
-    return _weighted_sum(f.grid.quad_weights().ravel(), _fast_pow(u, power).ravel())
+    x, w = _fast_pow(u, power), g.quad_weights().ravel()
+    if isinstance(g, RectGrid):
+        return _rect_average(w, g.column_weights(), x)
+    return _weighted_sum(w, x)
+
+
+def _rect_average(w: np.ndarray, wy: np.ndarray, x: np.ndarray) -> float:
+    """The one weighted-mean kernel of the rectangle: the average of a field
+    x whose grid has the flat normalised weights w and the column_weights()
+    wy.  A field that passes _x_invariant, and a (ny, 1) float64 column,
+    which stands for such a field, is averaged on its first column:
+    _weighted_sum(wy, column), one np.dot of ny entries up to _DOT_BLOCK.
+    Every other field is _weighted_sum(w, x).  So a column has the mean of
+    the field it stands for, bit for bit."""
+    if x.shape[1] == 1 or _x_invariant(x):
+        return _weighted_sum(wy, np.ascontiguousarray(x[:, 0]))
+    return _weighted_sum(w, x.ravel())
 
 
 # _weighted_sum's block length.  OpenBLAS splits a dot product over more

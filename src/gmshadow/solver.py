@@ -25,9 +25,14 @@ denom = (avg u^r)^gamma, eta^q or v^q.  The inhibitors reuse the same a.
 The rate is formed in the Laplacian's fresh output array, in that order,
 and a multiply by a coefficient d, a or b equal to 1.0 is skipped.  The
 sigma-clock families stop at evolution.clock_end.  Every weighted mean is
-_Ctx.average or mesh.mean, one kernel: BLAS dot products over blocks of at
-most 8,192 entries, summed left to right, so no dot is split across BLAS
-threads and the mean is the same at every thread count.
+_Ctx.average or mesh.mean, one kernel per grid: mesh._weighted_sum, BLAS
+dot products over blocks of at most 8,192 entries summed left to right,
+on the ball; on the rectangle mesh._rect_average, which averages a
+float64 field constant along x, and a column, on its column by one dot of
+ny entries with the normalised y-trapezoid weights, and every other field
+by _weighted_sum.  So no dot is split across BLAS threads, the mean is the
+same at every thread count, and a column has the mean of the field it
+stands for.
 
 The effective step is min(dt, h^2/(4 D_eff), relative growth clamp); the
 clamp keeps each update below ~10% of the solution scale so runs terminate
@@ -64,17 +69,19 @@ every config-driven rectangle run is (FULL_RD's v0 is a constant).  A
 step keeps such a field constant along x: every operation but the
 stencil, the means and FULL_RD's inhibitor solve is pointwise, the
 stencil's x-term ((u - 2u) + u)/hx^2 is the same at every node of a row,
-and the solve of an x-invariant v is its column's solve, broadcast.  So
-the run steps the (ny, 1) column through the same _step, with the column
-stencil RectGrid.column_laplacian_operator (the 2-D stencil's
-arithmetic, so its result bit for bit), FULL_RD's column solve
-RectGrid.column_resolvent_operator, a column workspace, and means that
-broadcast the column into one (ny, nx) buffer for the same kernel and
-weights.  Every step, dt, sample and verdict is then the 2-D run's bit
-for bit, at a fifth to a sixth of the cost per step on 128x128, and a
-tenth for FULL_RD (2-vCPU host).  Snapshots and the state the run ends
-with are expanded (ny, nx) copies.  step() and rhs() stay 2-D, as they
-take any array a caller passes.
+the mean of an x-invariant field is its column's, and the solve of an
+x-invariant v is its column's solve, broadcast.  So the run steps the
+(ny, 1) column through the same _step, with the column stencil
+RectGrid.column_laplacian_operator (the 2-D stencil's arithmetic, so its
+result bit for bit), FULL_RD's column solve
+RectGrid.column_resolvent_operator and a column workspace.  Every step,
+dt, sample and verdict is then the 2-D run's bit for bit, at a sixth to a
+seventh of the cost per step on 128x128, and a tenth for FULL_RD (2-vCPU
+host).  Snapshots and the state the run ends with are expanded (ny, nx)
+copies.  step() does the same for one step: a float64 state constant
+along x (u, and FULL_RD's v with it) is stepped on its column and the
+result expanded, 88 against 220 us on exp1's 128x128 datum; any other
+array a caller passes, and every rhs() call, takes the whole grid.
 
 _step alone decides a run's verdict and ends it at the terminal clock,
 which advance() samples last; the report takes that verdict and, for
@@ -95,9 +102,11 @@ for u^4, the product fast_pow would form.  advance() builds one
 context per run; step() keeps one on the RunState and rebuilds it only
 when the config no longer equals the snapshot the context was built from,
 so an in-place edit of a RunConfig between calls takes effect, and each
-build re-runs the config's validation.  Because of the workspace, use one
-RunState per thread: copy.copy(state) shares the context, while
-copy.deepcopy and pickle rebuild it from its config.
+build re-runs the config's validation; its column twin (_Ctx.column),
+for x-invariant states, is built once on that same validated context.
+Because of the workspace, use one RunState per thread: copy.copy(state)
+shares the context, while copy.deepcopy and pickle rebuild it from its
+config.
 """
 
 from __future__ import annotations
@@ -121,7 +130,8 @@ from .evolution import (
     t_of_sigma,
 )
 from .initdata import InitSpec, _check_fits, build_initial
-from .mesh import Field, Grid, RadialGrid, RectGrid, _weighted_sum, _x_invariant, mean
+from .mesh import (Field, Grid, RadialGrid, RectGrid, _rect_average, _weighted_sum,
+                   _x_invariant, mean)
 from .mesh import _fast_pow as fast_pow
 from .params import Parameters, _check_integer, derive_indices
 
@@ -294,10 +304,11 @@ class _Ctx:
     inhibitor solve, coefficient exponent, clock end, what the config fixes
     of rho^2 and (a, b), and the preallocated per-step temporaries.
 
-    A column context (advance() only) steps the (ny, 1) column of a
-    rectangle field constant along x: its Laplacian, inhibitor solve and
-    workspace are column-shaped, and its average broadcasts the column
-    into a (ny, nx) buffer for the full-grid weights."""
+    A column context steps the (ny, 1) column of a rectangle field constant
+    along x: its Laplacian, inhibitor solve and workspace are column-shaped,
+    and its average is the column's, by the same kernel as the grid's.
+    column() gives a grid context's column twin, built once on the same
+    validated config and weights."""
 
     def __init__(self, config: RunConfig, column: bool = False):
         # a shallow snapshot: it re-runs RunConfig's validation, and step()
@@ -307,17 +318,11 @@ class _Ctx:
         self.idx = derive_indices(p)
         g = cfg.grid
         self.w = g.quad_weights().ravel()
-        shape = (g.ny, 1) if column else g.shape
-        self.laplacian = g.column_laplacian_operator() if column else g.laplacian_operator()
-        self.wide = np.empty(g.shape) if column else None
+        self.wy = g.column_weights() if isinstance(g, RectGrid) else None
         self.pin_outer = isinstance(g, RadialGrid) and g.outer_bc == "dirichlet"
         self.h2 = g.h_min**2
         self.shadow = kind is SystemKind.SHADOW_TAU
         self.full_rd = kind is SystemKind.FULL_RD
-        if self.full_rd:
-            # (I - nu*Lap)^-1, exact in the grid's cosine basis
-            self.diffuse_inhibitor = (g.column_resolvent_operator() if column
-                                      else g.resolvent_operator())
         self.e = 0.0 if kind in _INHIBITOR_FAMILIES else self.idx.gamma
         self.end = clock_end(law, cfg.end_time, kind.t_native)
         # rho is 1 in the sigma clock and under the static law; (a, b) is
@@ -327,16 +332,40 @@ class _Ctx:
         self.ab = None
         if law.kind is LawKind.STATIC or (kind.t_native and law.kind is not LawKind.LOGISTIC):
             self.ab = self.coefficients(0.0)
-        # the workspace, overwritten by every step: the mean's power of u
-        # (u^r in a step), u^p, and a*u (then b*u^p/denom when u^p is u)
-        self.ur, self.up, self.scratch = np.empty((3, *shape))
         # fast_pow forms u^4 as (u^2)^2, so with r = 2 the u^r that every
         # step forms for the mean or FULL_RD's kinetics is u^4's factor
         self.up_from_ur = p.r == 2.0 and p.p == 4.0
+        self._column = None
+        self._layout(column)
+
+    def _layout(self, column: bool) -> None:
+        """The shape-bound part: Laplacian, inhibitor solve and workspace,
+        on the grid or on the (ny, 1) column."""
+        g = self.cfg.grid
+        self.on_column = column
+        self.laplacian = g.column_laplacian_operator() if column else g.laplacian_operator()
+        if self.full_rd:
+            # (I - nu*Lap)^-1, exact in the grid's cosine basis
+            self.diffuse_inhibitor = (g.column_resolvent_operator() if column
+                                      else g.resolvent_operator())
+        # the workspace, overwritten by every step: the mean's power of u
+        # (u^r in a step), u^p, and a*u (then b*u^p/denom when u^p is u)
+        shape = (g.ny, 1) if column else g.shape
+        self.ur, self.up, self.scratch = np.empty((3, *shape))
 
     def __reduce__(self):
         # the operators are closures; a copy rebuilds them with its own buffers
-        return (_Ctx, (self.cfg, self.wide is not None))
+        return (_Ctx, (self.cfg, self.on_column))
+
+    def column(self) -> _Ctx:
+        """This grid context's column twin, built on first use and kept:
+        the same config, weights and coefficients, with a column layout."""
+        if self._column is None:
+            twin = object.__new__(_Ctx)
+            twin.__dict__.update(self.__dict__)
+            twin._layout(True)
+            self._column = twin
+        return self._column
 
     def coefficients(self, clock: float) -> tuple[float, float]:
         """The family's (a, b) at the clock: Phi and Psi_e, in its clock."""
@@ -353,13 +382,12 @@ class _Ctx:
 
     def average(self, u: np.ndarray, power: float) -> float:
         """The quadrature average of u^power by mesh.mean's kernel, so equal
-        to mesh.mean bit for bit, of the column broadcast along x in a
-        column context; u^power is left in self.ur."""
+        to mesh.mean bit for bit, on the grid and on the column alike;
+        u^power is left in self.ur."""
         x = fast_pow(u, power, self.ur)
-        if self.wide is not None:
-            np.copyto(self.wide, x)
-            x = self.wide
-        return _weighted_sum(self.w, x.ravel())
+        if self.wy is None:
+            return _weighted_sum(self.w, x)
+        return _rect_average(self.w, self.wy, x)
 
     def nonlocal_mean(self, u: np.ndarray, power: float) -> float:
         m = self.average(u, power)
@@ -497,6 +525,9 @@ def step(config: RunConfig, state: RunState) -> RunState:
 
     The context is kept on the state and rebuilt, with the config's
     validation, only when config differs from the one it was built from.
+    A float64 rectangle state constant along x (u, and FULL_RD's v with
+    it) is stepped on its (ny, 1) column, as advance() steps it, and the
+    new u (and v) expanded to (ny, nx): the 2-D step's numbers bit for bit.
     Raises ValueError when the config is invalid or the state does not
     fit it.
     """
@@ -505,9 +536,29 @@ def step(config: RunConfig, state: RunState) -> RunState:
     ctx = state._ctx
     if ctx is None or ctx.cfg != config:
         ctx = state._ctx = _Ctx(config)
-    _check_state(ctx.cfg, state.u, state.aux, state.clock)
+    u, aux = state.u, state.aux
+    _check_state(ctx.cfg, u, aux, state.clock)
+    if not (ctx.wy is not None and _x_invariant(u) and (not ctx.full_rd or _x_invariant(aux))):
+        _step(ctx, state, _max(u), _min(u))
+        return state
+    ctx, steps = ctx.column(), state.steps
+    state.u = u[:, :1].copy()
+    if ctx.full_rd:
+        state.aux = aux[:, :1].copy()
     _step(ctx, state, _max(state.u), _min(state.u))
+    if state.steps == steps:
+        # ended before the update: the caller's arrays stay
+        state.u, state.aux = u, aux
+    else:
+        state.u = _widen(state.u, u.shape)
+        if ctx.full_rd:
+            state.aux = _widen(state.aux, u.shape)
     return state
+
+
+def _widen(column: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The (ny, nx) field, a fresh array, whose every column is `column`."""
+    return np.broadcast_to(column, shape).copy()
 
 
 def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, float]:
@@ -610,7 +661,7 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
 
     def full(u: np.ndarray) -> np.ndarray:
         """The (ny, nx) field of a column run's u; u itself otherwise."""
-        return np.broadcast_to(u, config.grid.shape).copy() if column else u
+        return _widen(u, config.grid.shape) if column else u
 
     series = TimeSeries()
     snapshots: dict[str, Field] = {}

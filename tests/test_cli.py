@@ -311,11 +311,20 @@ def test_cli_convert_time_prints_sigma_of_t(law, flags, capsys):
      "exp_decay requires beta < 1/N"),
     (["--evolution", "exp_decay", "--beta", "0.1", "--t", "1e10"],
      "sigma at t = 10000000000.0 overflows a float"),
+    # closed forms that would print nan or leak brentq's NaN message
+    (["--evolution", "logistic", "--beta", "0.1", "--m", "1e-300", "--t", "1"],
+     "logistic m=1e-300 is out of range"),
+    (["--evolution", "logistic", "--beta", "0.1", "--m", "1e200", "--t", "inf"],
+     "logistic m=1e+200 is out of range"),
+    (["--evolution", "logistic", "--beta", "0.1", "--m", "1e-300", "--sigma", "1"],
+     "logistic m=1e-300 is out of range"),
 ], ids=["t_nan", "sigma_nan", "logistic_without_m", "exp_decay_too_fast_in_3d",
-        "exp_decay_sigma_overflows"])
+        "exp_decay_sigma_overflows", "logistic_tiny_m", "logistic_huge_m_at_t_inf",
+        "logistic_tiny_m_sigma"])
 def test_cli_convert_time_rejects_bad_input(argv, message, capsys):
     assert main(["convert-time", *argv]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

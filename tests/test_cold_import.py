@@ -1,8 +1,9 @@
 """Importing gmshadow and running the static and exponential laws loads no
 scipy: only the logistic law's quadrature (analysis.threshold_integral) and
 root-find (evolution.t_of_sigma) import it, when they are called.  Nor does
-importing gmshadow.cli load the worker pool's modules: only a pooled preset
-run imports them."""
+importing gmshadow.cli load the worker pool's modules, argparse or
+configparser: only a pooled preset run, cli.main() and cli.parse_config()
+import them."""
 
 import json
 import os
@@ -57,10 +58,19 @@ def test_scipy_is_imported_only_by_the_logistic_law():
     assert {"scipy.optimize", "scipy.integrate"} <= set(out["after"])
 
 
-def test_the_worker_pool_is_imported_only_by_a_pooled_preset():
+def _modules_loaded_by_importing_gmshadow_cli(prefixes: tuple[str, ...]) -> list[str]:
     probe = ("import json, sys; import gmshadow, gmshadow.cli; print(json.dumps(sorted("
-             "m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures')))))")
+             f"m for m in sys.modules if m.startswith({prefixes!r}))))")
     src = str(Path(gmshadow.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout)
+
+
+def test_the_worker_pool_is_imported_only_by_a_pooled_preset():
+    assert _modules_loaded_by_importing_gmshadow_cli(
+        ("multiprocessing", "concurrent.futures")) == []
+
+
+def test_the_argument_parsers_are_imported_only_by_main_and_parse_config():
+    assert _modules_loaded_by_importing_gmshadow_cli(("argparse", "configparser")) == []

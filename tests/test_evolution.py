@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,22 @@ def test_law_validation():
 def test_law_rejects_non_finite(make, field):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make()
+
+
+@pytest.mark.parametrize("m", [1e-300, 1e-154, 7e153, 1e200])
+def test_logistic_rejects_an_m_whose_closed_forms_are_not_finite(m):
+    with pytest.raises(ValueError, match=re.escape(f"logistic m={m!r} is out of range")):
+        EvolutionLaw.logistic(0.1, m)
+
+
+@pytest.mark.parametrize("m", [1.1e-154, 1e-100, 0.5, 1.5, 1e100, 6e153])
+def test_logistic_m_inside_the_range_has_finite_closed_forms(m):
+    law = EvolutionLaw.logistic(0.1, m)
+    for t in (0.0, 1e-3, 1.0):
+        assert 0.0 <= sigma_of_t(law, t) < math.inf
+        assert 0.0 < scale_factor(law, t) < math.inf
+        assert math.isfinite(dilution_coefficient(law, t))
+    assert sigma_of_t(law, math.inf) == math.inf
 
 
 def test_scale_factor_examples():

@@ -874,11 +874,16 @@ def _count_stencils(monkeypatch):
     return calls
 
 
+def _nudged(u):
+    """A copy of u with one node of its last column one ulp higher."""
+    u = u.copy()
+    u[u.shape[0] // 2, -1] = np.nextafter(u[u.shape[0] // 2, -1], math.inf)
+    return u
+
+
 def _nudged_initial(spec, grid, *, p):
     """build_initial with one node of the last column one ulp higher."""
-    u0 = build_initial(spec, grid, p=p)
-    u0.values[grid.ny // 2, -1] = np.nextafter(u0.values[grid.ny // 2, -1], math.inf)
-    return u0
+    return Field(grid, _nudged(build_initial(spec, grid, p=p).values))
 
 
 def _artifacts(run):
@@ -933,6 +938,77 @@ def test_advance_steps_only_x_invariant_nonlocal_rectangle_runs_on_one_column(
     assert dict(calls) == {"laplacian_operator": taken[stencil]}
     # and the public step() loop ends on the same u
     assert run[2]["final"].values.tobytes() == _step_loop(cfg).u.tobytes()
+
+
+STEP_COLUMN_CASES = {
+    "nonlocal_t": small_cfg(system=SystemKind.NONLOCAL_T, grid=RectGrid(14, 11), law=DECAY,
+                            init=COSINE, end_time=0.1),
+    "nonlocal_sigma": small_cfg(grid=RectGrid(13, 16), law=GROWTH, init=COSINE,
+                                end_time=0.1),
+    "shadow_tau": small_cfg(system=SystemKind.SHADOW_TAU,
+                            params=Parameters(p=3, q=2, r=1, s=2, tau=0.1), law=DECAY,
+                            grid=RectGrid(11, 14), eta0=0.7, init=COSINE, end_time=0.2),
+    "nonlocal_t_fractional_powers": small_cfg(
+        system=SystemKind.NONLOCAL_T, params=Parameters(p=2.5, q=2, r=1.5, s=1.5),
+        grid=RectGrid(12, 9), law=GROWTH, init=COSINE, end_time=0.1),
+    "full_rd": FULL_RD_COLUMN,
+}
+
+
+def _stepped(cfg, u, aux, steps):
+    """The state `steps` public step() calls take from (u, aux) at clock 0."""
+    state = RunState(u=u.copy(), aux=copy.copy(aux), clock=0.0)
+    while state.verdict is None and state.steps < steps:
+        step(cfg, state)
+    return state
+
+
+@pytest.mark.parametrize("cfg", STEP_COLUMN_CASES.values(), ids=STEP_COLUMN_CASES.keys())
+def test_step_steps_an_x_invariant_state_on_its_column(cfg, monkeypatch):
+    # 40 column steps, each expanded to (ny, nx), end on the 2-D steps' state
+    # bit for bit
+    start = RunState.initial(cfg)
+    calls = _count_stencils(monkeypatch)
+    run = _stepped(cfg, start.u, start.aux, 40)
+    assert dict(calls) == {"column_laplacian_operator": 40}
+    assert run.u.shape == cfg.grid.shape and mesh._x_invariant(run.u)
+    monkeypatch.setattr(solver, "_x_invariant", lambda u: False)
+    calls.clear()
+    ref = _stepped(cfg, start.u, start.aux, 40)
+    assert dict(calls) == {"laplacian_operator": 40}
+    assert (run.steps, run.clock, run.dt_last, run.verdict) == (
+        ref.steps, ref.clock, ref.dt_last, ref.verdict)
+    assert run.u.tobytes() == ref.u.tobytes()
+    assert np.array_equal(run.aux, ref.aux)
+
+
+@pytest.mark.parametrize("nudge", ["u", "v"])
+def test_full_rd_steps_the_grid_unless_both_fields_are_x_invariant(nudge, monkeypatch):
+    start = RunState.initial(FULL_RD_COLUMN)
+    u = _nudged(start.u) if nudge == "u" else start.u
+    v = _nudged(start.aux) if nudge == "v" else start.aux
+    calls = _count_stencils(monkeypatch)
+    _stepped(FULL_RD_COLUMN, u, v, 10)
+    assert dict(calls) == {"laplacian_operator": 10}
+
+
+def test_step_a_float32_x_invariant_state_on_the_grid(monkeypatch):
+    # only float64 bits are tested for x-invariance; a float32 u steps the
+    # grid, as it always did, and the float64 u that step leaves then steps
+    # its column
+    cfg = small_cfg(grid=RectGrid(9, 7), init=COSINE)
+    u = RunState.initial(cfg).u.astype(np.float32)
+    assert (u == u[:, :1]).all()
+    calls = _count_stencils(monkeypatch)
+    run = _stepped(cfg, u, None, 5)
+    assert dict(calls) == {"laplacian_operator": 1, "column_laplacian_operator": 4}
+    assert run.u.dtype == np.float64
+    # every mean and step on the grid, with the blocked weighted sum
+    monkeypatch.setattr(solver, "_x_invariant", lambda u: False)
+    monkeypatch.setattr(mesh, "_x_invariant", lambda u: False)
+    ref = _stepped(cfg, u, None, 5)
+    assert run.steps == ref.steps == 5 and run.clock == ref.clock
+    assert run.u.tobytes() == ref.u.tobytes()
 
 
 # ------------------------------------------------------- step's context
@@ -1126,13 +1202,17 @@ def test_step_ends_a_nan_inhibitor_v_non_finite_before_stepping():
 # ------------------------------------------------- the mean and the rate
 
 _PRINT_EXP1_AVERAGES = """
+import numpy as np
 from gmshadow import cli, mesh, solver
 from gmshadow.initdata import build_initial
 cfg = cli.PRESETS["exp1"]()["static"]
 u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p)
+rng = np.random.default_rng(15)
+x_invariant = np.broadcast_to(rng.uniform(0.5, 3.0, (128, 1)), (128, 128)).copy()
 ctx = solver._Ctx(cfg)
-print([repr(ctx.average(u0.values, e)) for e in (1.0, 3.0, -1.0)])
-print([repr(mesh.mean(u0, e)) for e in (1.0, 3.0, -1.0)])
+for u in (u0.values, x_invariant, rng.uniform(0.5, 3.0, (128, 128))):
+    print([repr(ctx.average(u, e)) for e in (1.0, 3.0, -1.0)])
+    print([repr(mesh.mean(mesh.Field(cfg.grid, u), e)) for e in (1.0, 3.0, -1.0)])
 """
 
 
@@ -1162,8 +1242,10 @@ def _printed_at_one_and_two_blas_threads(code: str) -> list[str]:
 
 
 def test_average_does_not_depend_on_the_blas_thread_count():
-    # the solver's and mesh.mean's means of the 128x128 exp1/static field
+    # the solver's and mesh.mean's means of 128x128 fields: the exp1/static
+    # datum and a random one, both x-invariant, and an x-dependent one
     printed = _printed_at_one_and_two_blas_threads(_PRINT_EXP1_AVERAGES)
+    assert len(printed[0].splitlines()) == 6
     assert printed[0] == printed[1]
 
 
@@ -1186,6 +1268,44 @@ def test_average_is_one_dot_product_up_to_the_block_size(grid):
         dot = float(np.dot(w, fast_pow(u, e).ravel()))
         assert ctx.average(u, e) == dot
         assert mesh.mean(Field(grid, u), e) == dot
+
+
+MEAN_POWERS = (0.5, 1.0, 1.4, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("grid", [RectGrid(128, 128), RectGrid(49, 49), RectGrid(33, 20)],
+                         ids=str)
+def test_an_x_invariant_field_is_averaged_on_its_column(grid):
+    # mesh.mean and the grid and column contexts' averages are all the one
+    # dot of the column with the normalised y-trapezoid weights
+    cfg = small_cfg(grid=grid)
+    column = np.random.default_rng(12).uniform(0.5, 3.0, grid.ny)
+    u = np.broadcast_to(column[:, None], grid.shape).copy()
+    ctx = solver._Ctx(cfg)
+    wy = grid.column_weights()
+    assert wy.sum() == pytest.approx(1.0, rel=1e-15)
+    for e in MEAN_POWERS:
+        dot = float(np.dot(wy, fast_pow(column, e)))
+        assert mesh.mean(Field(grid, u), e) == dot
+        assert ctx.average(u, e) == dot
+        assert ctx.column().average(u[:, :1].copy(), e) == dot
+
+
+@pytest.mark.parametrize("grid", [RectGrid(128, 128), RectGrid(33, 20)], ids=str)
+def test_a_field_one_ulp_off_x_invariance_is_the_blocked_weighted_sum(grid):
+    cfg = small_cfg(grid=grid)
+    column = np.random.default_rng(13).uniform(0.5, 3.0, grid.ny)
+    u = _nudged(np.broadcast_to(column[:, None], grid.shape).copy())
+    w = grid.quad_weights().ravel()
+    ctx = solver._Ctx(cfg)
+    off = [e for e in MEAN_POWERS if not mesh._x_invariant(fast_pow(u, e))]
+    # a power can round the ulp away (u^0.5 does here), and then the field
+    # it averages is x-invariant again
+    assert 1.0 in off and len(off) >= 4
+    for e in off:
+        total = mesh._weighted_sum(w, fast_pow(u, e).ravel())
+        assert mesh.mean(Field(grid, u), e) == total
+        assert ctx.average(u, e) == total
 
 
 def _preset_initial_fields():

@@ -9,10 +9,14 @@ processes, one per usable CPU) and pinned to one CPU, where they run one
 after another in one process.  The pin is the child's own affinity, set
 with os.sched_setaffinity to the first CPU this process may use.  The
 three other trees are then compared with the parent's pooled tree byte for
-byte: every series.csv, report.txt, snapshot and summary.txt.  It prints
-one line per tree and exits 0 when all are identical, and 1, naming each
-differing or missing file, otherwise.  A preset whose command fails (exit
-status other than 0, or 1 for a NonFinite verdict) is an error, exit 2.
+byte: every series.csv, report.txt, snapshot and summary.txt.  The
+change's one-CPU tree is also compared with its own pooled tree, so a
+change that shifts bytes on purpose is still checked for agreeing with
+itself.  It prints one line per comparison and exits 0 when all are
+identical, and 1, naming each differing or missing file, otherwise; under
+each differing report.txt it prints the `key = value` lines that changed.
+A preset whose command fails (exit status other than 0, or 1 for a
+NonFinite verdict) is an error, exit 2.
 
 The trees go to a temporary directory, removed at the end; README's loop
 keeps them for a closer look.  Stdlib only; needs os.sched_setaffinity
@@ -52,13 +56,38 @@ def files(root: Path) -> set[Path]:
     return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
 
+def report_values(path: Path) -> dict[str, str]:
+    """A report.txt's `key = value` lines, by "[section] key" (no section
+    before the first header); the config echo's `#` lines are skipped."""
+    section, values = "", {}
+    for line in path.read_text().splitlines():
+        if line.startswith("["):
+            section = f"{line} "
+        elif "=" in line and not line.startswith("#"):
+            key, value = line.split("=", 1)
+            values[section + key.strip()] = value.strip()
+    return values
+
+
+def report_changes(ref: Path, other: Path) -> list[str]:
+    """`key: old -> new` for each key whose value differs between two
+    report.txt files (None where a file lacks the key)."""
+    a, b = report_values(ref), report_values(other)
+    return [f"{key}: {a.get(key)} -> {b.get(key)}" for key in sorted(a.keys() | b.keys())
+            if a.get(key) != b.get(key)]
+
+
 def differences(ref: Path, other: Path) -> list[str]:
-    """The files that differ between the trees or are in one alone."""
+    """The files that differ between the trees or are in one alone, with
+    the changed values of each differing report.txt."""
     a, b = files(ref), files(other)
     out = [f"only in {ref.name}: {p}" for p in sorted(a - b)]
     out += [f"only in {other.name}: {p}" for p in sorted(b - a)]
-    out += [f"differs: {p}" for p in sorted(a & b)
-            if not filecmp.cmp(ref / p, other / p, shallow=False)]
+    for p in sorted(a & b):
+        if not filecmp.cmp(ref / p, other / p, shallow=False):
+            out.append(f"differs: {p}")
+            if p.name == "report.txt":
+                out += [f"  {line}" for line in report_changes(ref / p, other / p)]
     return out
 
 
@@ -81,16 +110,17 @@ def main(argv: list[str] | None = None) -> int:
                 trees[tree.name] = tree
                 print(f"{tree.name}: {len(files(tree))} files in "
                       f"{time.perf_counter() - start:.1f} s")
-        ref = trees.pop("parent_pooled")
+        pairs = [("parent_pooled", name) for name in trees if name != "parent_pooled"]
+        pairs.append(("change_pooled", "change_1cpu"))
         bad = False
-        for name, tree in trees.items():
-            diff = differences(ref, tree)
+        for ref, name in pairs:
+            diff = differences(trees[ref], trees[name])
             if diff:
                 bad = True
-                print(f"{name} differs from parent_pooled:")
+                print(f"{name} differs from {ref}:")
                 print("\n".join(f"  {line}" for line in diff))
             else:
-                print(f"{name} identical to parent_pooled ({len(files(ref))} files)")
+                print(f"{name} identical to {ref} ({len(files(trees[ref]))} files)")
     return 1 if bad else 0
 
 
