@@ -12,7 +12,12 @@ where phi(sigma) = rho(t(sigma)).  Everything below uses per-law closed
 forms; nothing differentiates rho numerically.  reaction_coeff is the one
 body of the three: phi^2 and Phi are its gamma = 0 and gamma = 1 cases.
 The solver and the Bernoulli oracle take their coefficient pair from
-clock_coefficients and their sigma-horizon stop from clock_end.
+clock_coefficients and their sigma-horizon stop from clock_end.  Under the
+exponential laws the sigma-clock pair's closed form, (L, L**e)/(1 - 2 r
+sigma), is written once, in _exp_sigma_pair, a callable of sigma with L**e
+worked out when it is built: reaction_coeff, and so clock_coefficients,
+call it after checking sigma, and the solver's context builds one per run
+and calls it on every sigma-clock step, the same bits with no check.
 
 exp_growth and exp_decay are one law, rho = e^(r t), with the signed rate
 r = +beta or -beta (_exp_rate); each closed form is written once in r and
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -220,14 +226,29 @@ def reaction_coeff(law: EvolutionLaw, sigma: float, gamma: float) -> float:
             return law.m ** 2
         t = t_of_sigma(law, sigma)
         return scale_factor(law, t) ** 2 * dilution_coefficient(law, t) ** gamma
-    r = _exp_rate(law)
     # only the exp_growth horizon is singular; exp_decay tends to 0 as sigma -> inf
-    if r > 0.0 and sigma >= sigma_horizon(law):
+    if law.kind is LawKind.EXP_GROWTH and sigma >= sigma_horizon(law):
         raise ValueError(
             f"sigma={sigma} at or beyond the exp_growth horizon {sigma_horizon(law)}"
         )
-    # rho^2 = 1/(1 - 2 r sigma) and L = 1 + N r
-    return (1.0 + law.dimension * r) ** gamma / (1.0 - 2.0 * r * sigma)
+    return _exp_sigma_pair(law, gamma)(sigma)[1]
+
+
+def _exp_sigma_pair(law: EvolutionLaw, e: float) -> Callable[[float], tuple[float, float]]:
+    """sigma -> (Phi, Psi_e) = (L, L**e) / (1 - 2 r sigma), the closed form
+    of an exponential law in the sigma clock (rho^2 = 1/(1 - 2 r sigma) and
+    L = 1 + N r), with L**e worked out once.  The sigma is not checked: a
+    caller keeps it nonnegative and short of the exp_growth horizon, as
+    reaction_coeff does."""
+    r = _exp_rate(law)
+    L = 1.0 + law.dimension * r
+    Le = L**e
+
+    def pair(sigma: float) -> tuple[float, float]:
+        den = 1.0 - 2.0 * r * sigma
+        return L / den, Le / den
+
+    return pair
 
 
 def phi_squared(law: EvolutionLaw, sigma: float) -> float:

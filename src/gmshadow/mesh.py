@@ -115,18 +115,26 @@ class RectGrid:
     def column_laplacian_operator(self) -> Stencil:
         """laplacian_operator() for a field constant along x, on its (ny, 1)
         column: lap(u[:, :1]) equals laplacian_operator()(u)[:, :1] bit for
-        bit, and every column of that result is the same.
+        bit on a column without an infinity, and every column of that
+        result is the same.
 
         A node's east and west neighbours are the node itself (the ghost
-        columns mirror the constant rows too), so the x-term is formed as
-        the 2-D stencil forms it, ((u - 2u) + u)/hx^2: +0.0 for a finite u,
-        -inf where 2u overflows, and NaN for NaN.  The operator owns a
-        ghost-framed buffer and a scratch array that every call
-        overwrites, so one operator must not be called from two threads at
-        once.  Each call returns a fresh array.
+        columns mirror the constant rows too), so the 2-D stencil's x-term
+        ((u - 2u) + u)/hx^2 is +0.0 for a finite u.  Where 2u overflows it
+        is -inf, but then so is the y-term, and a NaN node makes both terms
+        NaN.  So only the y-term ((N - 2u) + S)/hy^2 is formed, and +0.0
+        added, which turns a -0.0 into the +0.0 of the 2-D sum.  A NaN
+        result has the 2-D stencil's bits too, except at a NaN node next to
+        a NaN of another payload or sign, where the two stencils may pick
+        different NaNs.  The exception is a column holding +-inf: there
+        the 2-D x-term (inf - inf) is NaN and the column's result an
+        infinity; a step ends such a state NonFinite before its stencil
+        either way.  The operator owns a ghost-framed buffer and a scratch
+        array that every call overwrites, so one operator must not be
+        called from two threads at once.  Each call returns a fresh array.
         """
         ny = self.ny
-        hx2, hy2 = self.hx**2, self.hy**2
+        hy2 = self.hy**2
         e = np.empty((ny + 2, 1))
         centre, north, south = e[1:-1], e[2:], e[:-2]
         two_u = np.empty((ny, 1))
@@ -135,9 +143,11 @@ class RectGrid:
             e[1:-1] = u
             e[0] = u[1]
             e[-1] = u[-2]
-            out = np.empty((ny, 1))
-            _five_point(centre, centre, centre, north, south, hx2, hy2, two_u, out)
-            return out
+            np.multiply(centre, 2.0, out=two_u)
+            out = np.subtract(north, two_u)
+            np.add(out, south, out=out)
+            np.divide(out, hy2, out=out)
+            return np.add(out, 0.0, out=out)
 
         return lap
 
@@ -207,18 +217,18 @@ def _column_solve(cy: np.ndarray, ly: np.ndarray) -> Resolvent:
 
 
 def _x_invariant(u: np.ndarray) -> bool:
-    """Whether u, a (ny, nx) array, is float64 and its every column equals
-    its first bit for bit (signed zeros and NaN payloads included); other
-    dtypes' bits do not view as int64.  Node (0, 1) and then column 1 are
-    compared first, so a field that varies along x is usually told at one
-    node, and otherwise in one column."""
+    """Whether u, a (ny, nx) array of any memory order, is float64 and its
+    every column equals its first bit for bit (signed zeros and NaN
+    payloads included); other dtypes' bits do not view as int64.  Node
+    (0, 1) is compared first, so a field that varies along x is usually
+    told at one node; otherwise every column is compared with the first in
+    one pass."""
     if u.dtype != np.float64:
         return False
     bits = u.view(np.int64)
     if bits.item(0, 0) != bits.item(0, 1):
         return False
-    first = bits[:, :1]
-    return bool((bits[:, 1:2] == first).all() and (bits == first).all())
+    return bool((bits == bits[:, :1]).all())
 
 
 def _five_point(centre, east, west, north, south, hx2, hy2, two_u, acc) -> None:

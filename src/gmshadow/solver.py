@@ -72,16 +72,21 @@ stencil's x-term ((u - 2u) + u)/hx^2 is the same at every node of a row,
 the mean of an x-invariant field is its column's, and the solve of an
 x-invariant v is its column's solve, broadcast.  So the run steps the
 (ny, 1) column through the same _step, with the column stencil
-RectGrid.column_laplacian_operator (the 2-D stencil's arithmetic, so its
-result bit for bit), FULL_RD's column solve
+RectGrid.column_laplacian_operator (the 2-D stencil's y-term plus +0.0,
+the 2-D x-term being +0.0 on a finite column, so its result bit for bit
+on every state a step reaches the stencil with), FULL_RD's column solve
 RectGrid.column_resolvent_operator and a column workspace.  Every step,
 dt, sample and verdict is then the 2-D run's bit for bit, at a sixth to a
 seventh of the cost per step on 128x128, and a tenth for FULL_RD (2-vCPU
 host).  Snapshots and the state the run ends with are expanded (ny, nx)
 copies.  step() does the same for one step: a float64 state constant
-along x (u, and FULL_RD's v with it) is stepped on its column and the
-result expanded, 88 against 220 us on exp1's 128x128 datum; any other
-array a caller passes, and every rhs() call, takes the whole grid.
+along x (u, and FULL_RD's v with it, mesh._x_invariant: one pass over the
+bits after a one-node pre-check) is stepped on its column and the result
+written into a fresh (ny, nx) array (_widen); any other array a caller
+passes, and every rhs() call, takes the whole grid.  On one CPU of a
+2-vCPU host a step() call costs about 39 us on exp1's x-invariant 128x128
+datum, against about 220 us for a whole-grid step, and 27-28 us on
+shadow_step's 49x49 sigma-clock states, whose column _step is 16-17 us.
 
 _step alone decides a run's verdict and ends it at the terminal clock,
 which advance() samples last; the report takes that verdict and, for
@@ -93,13 +98,17 @@ Laplacian, inhibitor solve, coefficient exponent and clock end, the family
 flags, and what the config fixes.  rho^2 is 1 in the sigma clock and under
 the static law, and (a, b) does not move under the static law nor, in t,
 under an exponential law (L = 1 + N r); there they are worked out once,
-and otherwise once per step.  The context also holds the step workspace:
-the mean's power of u (u^r in a step), u^p, a*u, and the Laplacian's own
-buffers (the rectangle's ghost frame, the ball's zero-padded fluxes), all
-overwritten by every step.  Every family forms u^r before u^p (the mean,
-or FULL_RD's kinetics), so with r = 2 and p = 4 the step squares that u^2
-for u^4, the product fast_pow would form.  advance() builds one
-context per run; step() keeps one on the RunState and rebuilds it only
+and otherwise once per step.  In the sigma clock an evolving law is
+exponential, and (a, b) = (L, L**e)/(1 - 2 r sigma) comes from
+evolution._exp_sigma_pair, built once per context with L**e worked out,
+so a step does two divides instead of two reaction_coeff calls, to the
+same bits; rhs() still checks its clock against the exp_growth horizon.
+The context also holds the step workspace: the mean's power of u (u^r in
+a step), u^p, a*u, and the Laplacian's own buffers (the rectangle's ghost
+frame, the ball's zero-padded fluxes), all overwritten by every step.
+Every family forms u^r before u^p (the mean, or FULL_RD's kinetics), so
+with r = 2 and p = 4 the step squares that u^2 for u^4, the product
+fast_pow would form.  advance() builds one context per run; step() keeps one on the RunState and rebuilds it only
 when the config no longer equals the snapshot the context was built from,
 so an in-place edit of a RunConfig between calls takes effect, and each
 build re-runs the config's validation; its column twin (_Ctx.column),
@@ -122,6 +131,7 @@ from .analysis import BlowUpReport, Verdict, _event_report
 from .evolution import (
     EvolutionLaw,
     LawKind,
+    _exp_sigma_pair,
     _require_nonnegative,
     clock_coefficients,
     clock_end,
@@ -302,7 +312,9 @@ class RunState:
 class _Ctx:
     """Per-run machinery and the step workspace: weights, Laplacian,
     inhibitor solve, coefficient exponent, clock end, what the config fixes
-    of rho^2 and (a, b), and the preallocated per-step temporaries.
+    of rho^2, the family's (a, b) as a function of the clock (coefficients,
+    fixed or built once where the law allows), and the preallocated
+    per-step temporaries.
 
     A column context steps the (ny, 1) column of a rectangle field constant
     along x: its Laplacian, inhibitor solve and workspace are column-shaped,
@@ -325,13 +337,22 @@ class _Ctx:
         self.full_rd = kind is SystemKind.FULL_RD
         self.e = 0.0 if kind in _INHIBITOR_FAMILIES else self.idx.gamma
         self.end = clock_end(law, cfg.end_time, kind.t_native)
-        # rho is 1 in the sigma clock and under the static law; (a, b) is
-        # fixed under the static law and, in t, under an exponential law
-        # (L = 1 + N r); None where the clock moves them
+        # rho is 1 in the sigma clock and under the static law; None where
+        # the clock moves it
         self.rho2 = 1.0 if not kind.t_native or law.kind is LawKind.STATIC else None
-        self.ab = None
-        if law.kind is LawKind.STATIC or (kind.t_native and law.kind is not LawKind.LOGISTIC):
-            self.ab = self.coefficients(0.0)
+        # coefficients(clock) is the family's (a, b), Phi and Psi_e in its
+        # clock: fixed under the static law and, in t, under an exponential
+        # law (L = 1 + N r); in sigma, where every evolving law is
+        # exponential, the closed form with L**e built once; in t under the
+        # logistic law, clock_coefficients on every step
+        t_native, e = kind.t_native, self.e
+        if law.kind is LawKind.STATIC or (t_native and law.kind is not LawKind.LOGISTIC):
+            ab = clock_coefficients(law, 0.0, e, t_native)
+            self.coefficients = lambda clock: ab
+        elif t_native:
+            self.coefficients = lambda clock: clock_coefficients(law, clock, e, True)
+        else:
+            self.coefficients = _exp_sigma_pair(law, e)
         # fast_pow forms u^4 as (u^2)^2, so with r = 2 the u^r that every
         # step forms for the mean or FULL_RD's kinetics is u^4's factor
         self.up_from_ur = p.r == 2.0 and p.p == 4.0
@@ -366,12 +387,6 @@ class _Ctx:
             twin._layout(True)
             self._column = twin
         return self._column
-
-    def coefficients(self, clock: float) -> tuple[float, float]:
-        """The family's (a, b) at the clock: Phi and Psi_e, in its clock."""
-        if self.ab is not None:
-            return self.ab
-        return clock_coefficients(self.cfg.law, clock, self.e, self.cfg.system.t_native)
 
     def rho_squared(self, clock: float) -> float:
         """rho(clock)^2 for the t-clock families; 1 for the sigma-clock ones,
@@ -417,6 +432,10 @@ def rhs(
         raise ValueError(f"u is on {u.grid}, the config on {config.grid}")
     _check_state(config, u.values, aux, clock)
     ctx = _Ctx(config)
+    if not config.system.t_native:
+        # the public pair rejects a sigma at or beyond the exp_growth
+        # horizon; the context's takes the clock unchecked
+        clock_coefficients(config.law, clock, ctx.e, False)
     du, daux, _ = _rhs_arrays(
         ctx, u.values, aux, clock, _min(u.values), ctx.rho_squared(clock)
     )
@@ -557,8 +576,12 @@ def step(config: RunConfig, state: RunState) -> RunState:
 
 
 def _widen(column: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The (ny, nx) field, a fresh array, whose every column is `column`."""
-    return np.broadcast_to(column, shape).copy()
+    """The (ny, nx) float64 field, a fresh C-contiguous array, whose every
+    column is `column`: written into np.empty by slice assignment, which
+    costs less than np.broadcast_to(column, shape).copy()."""
+    out = np.empty(shape)
+    out[:] = column
+    return out
 
 
 def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from gmshadow import (
     sigma_of_t,
     t_of_sigma,
 )
-from gmshadow.evolution import clock_coefficients, clock_end
+from gmshadow.evolution import _exp_sigma_pair, clock_coefficients, clock_end
 
 STATIC = EvolutionLaw.static(2)
 GROWTH = EvolutionLaw.exp_growth(0.1, 2)
@@ -321,6 +321,21 @@ def test_clock_coefficients_match_per_family_pairs_bit_for_bit(law):
             for g in GAMMAS:
                 for e, pair in _old_family_pairs(law, clock, g, t_clock).items():
                     assert clock_coefficients(law, clock, e, t_clock) == pair
+
+
+@pytest.mark.parametrize("law", [law for law in CLOCK_LAWS if law in EXP_LAWS],
+                         ids=lambda l: f"{l.kind.value}-{l.beta}-N{l.dimension}")
+def test_built_once_sigma_pair_is_clock_coefficients_bit_for_bit(law):
+    # the solver's per-run pair; on exp_growth up to the run's last sigma,
+    # a relative 1e-9 short of the horizon
+    rng = np.random.default_rng(13)
+    end = clock_end(law, 20.0, False)
+    sigmas = [0.0, 0.3311, end, *rng.uniform(0.0, end, 20),
+              *(end * (1.0 - 10.0**-k) for k in range(1, 12))]
+    for e in GAMMAS:
+        pair = _exp_sigma_pair(law, e)
+        for sigma in map(float, sigmas):
+            assert pair(sigma) == clock_coefficients(law, sigma, e, False)
 
 
 @pytest.mark.parametrize("law", CLOCK_LAWS,

@@ -18,7 +18,7 @@ from gmshadow import (
     write_field_csv,
 )
 from gmshadow.initdata import spike_profile
-from gmshadow.mesh import _dct1_matrix, _fast_pow
+from gmshadow.mesh import _dct1_matrix, _fast_pow, _x_invariant
 
 
 def rect_field(n, fn):
@@ -106,6 +106,102 @@ def test_rect_column_laplacian_is_the_2d_stencil_of_an_x_invariant_field(nx, ny)
     # each call returns a fresh array, which later calls leave alone
     for out, copy in kept:
         assert out.tobytes() == copy.tobytes()
+
+
+def _payload_nan(payload):
+    """A quiet NaN whose mantissa carries `payload`."""
+    return np.array([0x7FF8000000000000 | payload], dtype=np.int64).view(np.float64)[0]
+
+
+def _stencils_of_column(g, col):
+    """The 2-D stencil's first column on col broadcast to (ny, nx), and the
+    column stencil on col."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        full = g.laplacian_operator()(np.broadcast_to(col, g.shape).copy())
+        return full[:, :1], g.column_laplacian_operator()(col)
+
+
+@pytest.mark.parametrize("rows", [[0], [3], [6], [3, 4], [2, 3, 4]],
+                         ids=["edge", "node", "last_row", "neighbours", "run_of_three"])
+def test_rect_column_laplacian_keeps_the_2d_stencils_nan_bits(rows):
+    # a NaN at a node makes that node and its neighbours NaN in both
+    # stencils, with the same bits when the NaNs share one payload
+    g = RectGrid(5, 7)
+    for nan in (np.nan, -np.nan, _payload_nan(0x123)):
+        col = np.linspace(1.0, 2.0, g.ny)[:, None]
+        col[rows] = nan
+        full, out = _stencils_of_column(g, col)
+        assert np.array_equal(np.isnan(out), np.isnan(full))
+        assert np.isnan(out[rows]).all()
+        assert out.tobytes() == full.tobytes()
+
+
+def test_rect_column_laplacian_nan_next_to_another_nan_is_nan():
+    # next to a NaN of another payload or sign the two stencils may pick
+    # different NaNs, but every NaN is where the 2-D stencil has one
+    g = RectGrid(5, 7)
+    for other in (-np.nan, _payload_nan(0x123)):
+        col = np.linspace(1.0, 2.0, g.ny)[:, None]
+        col[3], col[4] = np.nan, other
+        full, out = _stencils_of_column(g, col)
+        assert np.array_equal(np.isnan(out), np.isnan(full))
+        assert np.isnan(out[2:6]).all() and not np.isnan(out[[0, 1, 6]]).any()
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf], ids=["+inf", "-inf"])
+def test_rect_column_laplacian_of_an_infinity_is_infinite_where_the_2d_stencil_is_nan(inf):
+    # the one documented exception: the 2-D x-term (inf - inf) is NaN at an
+    # infinite node; the column stencil has no x-term and gives an infinity
+    g = RectGrid(5, 7)
+    col = np.linspace(1.0, 2.0, g.ny)[:, None]
+    col[3] = inf
+    full, out = _stencils_of_column(g, col)
+    assert np.isnan(full[3]).all() and out[3, 0] == -inf
+    others = [0, 1, 2, 4, 5, 6]
+    assert out[others].tobytes() == full[others].tobytes()
+    assert np.isinf(out[[2, 4]]).all()
+
+
+def _x_dependent_variants(u):
+    """(name, array) pairs, each u changed so that it is not x-invariant
+    bit for bit, or of a dtype other than float64."""
+    ny = u.shape[0]
+    last_column = u.copy()
+    last_column[ny // 2, -1] = np.nextafter(last_column[ny // 2, -1], math.inf)
+    last_row = u.copy()
+    last_row[-1, 2] += 1.0
+    row0_constant = u.copy()
+    row0_constant[0] = 5.0
+    row0_constant[3, 1:] += 1.0
+    signed_zero = u.copy()
+    signed_zero[2] = 0.0
+    signed_zero[2, 1] = -0.0
+    payloads = u.copy()
+    payloads[4] = np.nan
+    payloads[4, 2] = _payload_nan(0x123)
+    return [("last_column", last_column), ("last_row", last_row),
+            ("row0_constant", row0_constant), ("signed_zero", signed_zero),
+            ("nan_payloads", payloads), ("float32", u.astype(np.float32)),
+            ("int64", np.ones(u.shape, dtype=np.int64))]
+
+
+def test_x_invariance_is_every_column_bit_for_bit_the_first():
+    g = RectGrid(6, 9)
+    u = np.broadcast_to(np.linspace(1.0, 2.0, g.ny)[:, None], g.shape).copy()
+    assert _x_invariant(u)
+    # any memory order: a Fortran-ordered copy and a transposed view
+    assert _x_invariant(np.asfortranarray(u))
+    assert _x_invariant(np.ascontiguousarray(u.T).T)
+    zeros = np.zeros(g.shape)
+    zeros[1] = -0.0
+    assert _x_invariant(zeros)
+    nans = u.copy()
+    nans[2] = _payload_nan(0x123)
+    assert _x_invariant(nans)
+    for name, variant in _x_dependent_variants(u):
+        assert not _x_invariant(variant), name
+        if variant.dtype == np.float64:
+            assert not _x_invariant(np.asfortranarray(variant)), name
 
 
 def test_rect_laplacian_results_do_not_alias():

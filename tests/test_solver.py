@@ -41,7 +41,7 @@ from gmshadow import (
     step,
 )
 from gmshadow import cli, mesh, solver
-from gmshadow.evolution import clock_end
+from gmshadow.evolution import clock_coefficients, clock_end
 from gmshadow.initdata import build_initial
 from gmshadow.solver import RunState, fast_pow
 
@@ -1009,6 +1009,129 @@ def test_step_a_float32_x_invariant_state_on_the_grid(monkeypatch):
     ref = _stepped(cfg, u, None, 5)
     assert run.steps == ref.steps == 5 and run.clock == ref.clock
     assert run.u.tobytes() == ref.u.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [STEP_COLUMN_CASES["nonlocal_sigma"], FULL_RD_COLUMN],
+                         ids=["nonlocal_sigma", "full_rd"])
+def test_step_widens_its_column_into_fresh_writable_arrays(cfg):
+    start = RunState.initial(cfg)
+    state = RunState(u=start.u.copy(), aux=copy.copy(start.aux), clock=0.0)
+
+    def fields():
+        return [state.u, *([state.aux] if cfg.system is SystemKind.FULL_RD else [])]
+
+    held = [(x, x.copy()) for x in fields()]
+    for _ in range(3):
+        step(cfg, state)
+        ctx = state._ctx
+        workspace = [ctx.ur, ctx.up, ctx.scratch]
+        workspace += [ctx.column().ur, ctx.column().up, ctx.column().scratch]
+        for x in fields():
+            assert x.shape == cfg.grid.shape and x.dtype == np.float64
+            assert x.flags.writeable and x.flags.c_contiguous and x.flags.owndata
+            assert mesh._x_invariant(x)
+            assert not any(np.shares_memory(x, y) for y, _ in held)
+            assert not any(np.shares_memory(x, y) for y in workspace)
+        held += [(x, x.copy()) for x in fields()]
+    # no array a caller held was written
+    for x, copied in held:
+        assert x.tobytes() == copied.tobytes()
+
+
+def test_step_takes_the_grid_after_an_in_place_edit_breaks_x_invariance(monkeypatch):
+    cfg = STEP_COLUMN_CASES["nonlocal_sigma"]
+    state = RunState.initial(cfg)
+    calls = _count_stencils(monkeypatch)
+    step(cfg, state)
+    assert dict(calls) == {"column_laplacian_operator": 1}
+    state.u[5, -1] += 1e-3  # the fresh u step() returned, edited in place
+    edited = copy.deepcopy(state)
+    calls.clear()
+    step(cfg, state)
+    assert dict(calls) == {"laplacian_operator": 1}
+    # the same step as the forced-2-D path's, bit for bit
+    monkeypatch.setattr(solver, "_x_invariant", lambda u: False)
+    step(cfg, edited)
+    assert (state.clock, state.dt_last) == (edited.clock, edited.dt_last)
+    assert state.u.tobytes() == edited.u.tobytes()
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf], ids=["+inf", "-inf"])
+@pytest.mark.parametrize("system", [SystemKind.NONLOCAL_SIGMA, SystemKind.SHADOW_TAU],
+                         ids=["nonlocal_sigma", "shadow_tau"])
+def test_step_ends_an_x_invariant_infinite_state_non_finite_as_the_grid_does(
+        system, inf, monkeypatch):
+    # the column stencil differs from the 2-D one on an infinity, but a step
+    # ends such a state before either stencil runs
+    cfg = small_cfg(system=system, params=TAU, law=DECAY, init=COSINE, eta0=0.7)
+    u = RunState.initial(cfg).u
+    u[3] = inf
+    assert mesh._x_invariant(u)
+    results = []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(solver, "_x_invariant", lambda u: False)
+        state = RunState(u=u, aux=0.7 if system is SystemKind.SHADOW_TAU else None,
+                         clock=0.0)
+        step(cfg, state)
+        assert state.u is u
+        results.append((state.verdict, state.steps, state.clock, state.dt_last))
+    assert results[0] == results[1] == (Verdict.NON_FINITE, 0, 0.0, 0.0)
+
+
+SIGMA_PAIR_CASES = {
+    f"{system.value}-{law.kind.value}": small_cfg(
+        system=system, params=Parameters(p=3, q=2, r=1, s=2, tau=0.1), law=law, grid=RectGrid(11, 14), init=COSINE,
+        end_time=0.15)
+    for system in (SystemKind.NONLOCAL_SIGMA, SystemKind.SHADOW_TAU)
+    for law in (GROWTH, DECAY)
+}
+
+
+@pytest.mark.parametrize("cfg", SIGMA_PAIR_CASES.values(), ids=SIGMA_PAIR_CASES.keys())
+def test_sigma_clock_steps_with_the_built_once_pair_as_with_clock_coefficients(
+        cfg, monkeypatch):
+    run = _step_loop(cfg)
+    assert run.steps > 50
+    calls = []
+
+    def per_step_pair(law, e):
+        def pair(sigma):
+            calls.append(sigma)
+            return clock_coefficients(law, sigma, e, False)
+        return pair
+
+    monkeypatch.setattr(solver, "_exp_sigma_pair", per_step_pair)
+    ref = _step_loop(cfg)
+    assert len(calls) == ref.steps
+    assert (run.steps, run.clock, run.dt_last, run.verdict) == (
+        ref.steps, ref.clock, ref.dt_last, ref.verdict)
+    assert run.u.tobytes() == ref.u.tobytes()
+    assert np.array_equal(run.aux, ref.aux)
+
+
+@pytest.mark.parametrize("copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copied_state_rebuilds_its_sigma_pair(copier):
+    cfg = SIGMA_PAIR_CASES["shadow_tau-exp_growth"]
+    state = RunState.initial(cfg)
+    step(cfg, state)
+    twin = copier(state)
+    pair, twin_pair = state._ctx.coefficients, twin._ctx.coefficients
+    assert twin_pair is not pair
+    e = state._ctx.e
+    for sigma in (0.0, state.clock, 0.1, clock_end(GROWTH, math.inf, False)):
+        assert twin_pair(sigma) == pair(sigma) == clock_coefficients(GROWTH, sigma, e, False)
+
+
+def test_rhs_rejects_a_sigma_at_or_beyond_the_exp_growth_horizon():
+    # the context's pair takes the clock unchecked; rhs() still checks it
+    cfg = small_cfg(law=GROWTH)
+    u = const_field(cfg.grid, 2.0)
+    rhs(cfg, u, None, 4.999)
+    for sigma in (5.0, 7.0):
+        with pytest.raises(ValueError, match="at or beyond the exp_growth horizon 5.0"):
+            rhs(cfg, u, None, sigma)
 
 
 # ------------------------------------------------------- step's context

@@ -1,22 +1,27 @@
-"""Byte-identity gate: every preset, run from two checkouts, must write the
-same bytes.
+"""Byte-identity gate: every preset and every sigma-clock config, run from
+two checkouts, must write the same bytes.
 
     python3 tools/byte_identity.py PARENT_CHECKOUT CHANGE_CHECKOUT
 
-For each checkout it runs all six presets with `python -m gmshadow.cli run`
-from that checkout's src, twice: pooled (the runs of a preset in worker
+For each checkout it runs all six presets, and then the sigma-clock
+configs beside this file (tools/sigma_*.ini, one run each: NONLOCAL_SIGMA
+and SHADOW_TAU on 49x49 under exp_decay, and a NONLOCAL_SIGMA exp_growth
+run that stops just short of its horizon), with `python -m gmshadow.cli
+run` from that checkout's src.  Every preset runs on the t clock, so
+without the configs the gate would never run the sigma-clock coefficients.
+Each checkout runs them twice: pooled (the runs of a preset in worker
 processes, one per usable CPU) and pinned to one CPU, where they run one
 after another in one process.  The pin is the child's own affinity, set
 with os.sched_setaffinity to the first CPU this process may use.  The
 three other trees are then compared with the parent's pooled tree byte for
-byte: every series.csv, report.txt, snapshot and summary.txt.  The
-change's one-CPU tree is also compared with its own pooled tree, so a
+byte: every file, each config.ini, series.csv, report.txt, snapshot and
+summary.txt.  The change's one-CPU tree is also compared with its own pooled tree, so a
 change that shifts bytes on purpose is still checked for agreeing with
 itself.  It prints one line per comparison and exits 0 when all are
 identical, and 1, naming each differing or missing file, otherwise; under
 each differing report.txt it prints the `key = value` lines that changed.
-A preset whose command fails (exit status other than 0, or 1 for a
-NonFinite verdict) is an error, exit 2.
+A preset or config whose command fails (exit status other than 0, or 1
+for a NonFinite verdict) is an error, exit 2.
 
 The trees go to a temporary directory, removed at the end; README's loop
 keeps them for a closer look.  Stdlib only; needs os.sched_setaffinity
@@ -35,19 +40,21 @@ import time
 from pathlib import Path
 
 PRESETS = ("exp1", "exp1q", "exp2a", "exp2b", "exp3", "exp4")
+CONFIGS = tuple(Path(__file__).resolve().with_name(f"sigma_{name}.ini")
+                for name in ("nonlocal", "shadow_tau", "growth_horizon"))
 
 
 def run_presets(checkout: Path, outdir: Path, cpu: int | None) -> None:
-    """Every preset from checkout's src into outdir; on CPU `cpu` alone
-    when it is given, pooled otherwise."""
+    """Every preset and config from checkout's src into outdir; on CPU
+    `cpu` alone when it is given, pooled otherwise."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
-    for preset in PRESETS:
+    for target in (*PRESETS, *map(str, CONFIGS)):
         proc = subprocess.run(
-            [sys.executable, "-m", "gmshadow.cli", "run", preset, "--outdir", str(outdir)],
+            [sys.executable, "-m", "gmshadow.cli", "run", target, "--outdir", str(outdir)],
             cwd=checkout, env=env, preexec_fn=pin, capture_output=True, text=True)
         if proc.returncode not in (0, 1):
-            print(f"{checkout}: preset {preset} failed with exit status "
+            print(f"{checkout}: {target} failed with exit status "
                   f"{proc.returncode}\n{proc.stderr}", file=sys.stderr)
             sys.exit(2)
 
