@@ -28,6 +28,7 @@ from .evolution import (
     EvolutionLaw,
     LawKind,
     CoefficientBounds,
+    _clock_pair,
     _exp_rate,
     clock_coefficients,
     clock_end,
@@ -193,19 +194,38 @@ def bernoulli_oracle(
     Uses Euler step doubling with Richardson correction; at F >= 1e10 the
     analytic tail F^(1-omega)/((omega-1) Psi) is added to the reported
     blow-up time.  The logistic law is integrated in the t clock (where its
-    coefficients are closed-form) and reported in sigma.  The coefficient
-    pair and the sigma-horizon stop are evolution.clock_coefficients and
-    clock_end, the ones the solver uses.  Serves as the independent oracle
-    for every closed-form bound.
+    coefficients are closed-form), to t(sigma_max), and reported in sigma.
+    The coefficient pair, built once per call, and the sigma-horizon stop
+    are evolution._clock_pair and clock_end, the ones the solver uses.
+    Serves as the independent oracle for every closed-form bound.
+
+    Raises ValueError, before integrating, unless dt > 0, u0_mean is finite
+    and >= 0, and sigma_max is >= 0 and finite, or infinite under
+    exp_growth, whose sigma horizon ends the integration.
     """
+    # written so that NaN fails too
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 <= u0_mean < math.inf:
+        raise ValueError(f"u0_mean must be a finite nonnegative number, got {u0_mean}")
+    if not sigma_max >= 0.0:
+        raise ValueError(f"sigma_max must be a nonnegative number, got {sigma_max}")
     w, g = idx.omega, idx.gamma
     in_t = law.kind is LawKind.LOGISTIC
+    end = clock_end(law, sigma_max, in_t)
+    if math.isinf(end):
+        raise ValueError(
+            f"sigma_max={sigma_max} never ends the integration under "
+            f"{law.kind.value}; only exp_growth stops at its sigma horizon"
+        )
+    if in_t:
+        end = t_of_sigma(law, end)
+    pair = _clock_pair(law, g, in_t)
 
     def rhs(clock: float, F: float) -> float:
-        phi, psi = clock_coefficients(law, clock, g, in_t)
+        phi, psi = pair(clock)
         return -phi * F + psi * F**w
 
-    end = clock_end(law, sigma_max, in_t)
     clock, F = 0.0, float(u0_mean)
     h = dt
     rtol = 1e-8
@@ -229,7 +249,7 @@ def bernoulli_oracle(
         if err < scale / 16.0:
             h = min(2.0 * h, dt)
         if not math.isfinite(F) or F >= 1e10:
-            psi = clock_coefficients(law, clock, g, in_t)[1]
+            psi = pair(clock)[1]
             tail = (F ** (1.0 - w) / ((w - 1.0) * psi)
                     if w > 1.0 and math.isfinite(F) else 0.0)
             blow = clock + tail

@@ -12,12 +12,14 @@ where phi(sigma) = rho(t(sigma)).  Everything below uses per-law closed
 forms; nothing differentiates rho numerically.  reaction_coeff is the one
 body of the three: phi^2 and Phi are its gamma = 0 and gamma = 1 cases.
 The solver and the Bernoulli oracle take their coefficient pair from
-clock_coefficients and their sigma-horizon stop from clock_end.  Under the
+_clock_pair, the one place that decides whether a law's pair is fixed,
+built once or worked out per clock; each builds it once, per solver
+context or oracle call.  Their sigma-horizon stop is clock_end.  Under the
 exponential laws the sigma-clock pair's closed form, (L, L**e)/(1 - 2 r
 sigma), is written once, in _exp_sigma_pair, a callable of sigma with L**e
 worked out when it is built: reaction_coeff, and so clock_coefficients,
-call it after checking sigma, and the solver's context builds one per run
-and calls it on every sigma-clock step, the same bits with no check.
+call it after checking sigma, and _clock_pair returns it for the sigma
+clock, the same bits with no check.
 
 exp_growth and exp_decay are one law, rho = e^(r t), with the signed rate
 r = +beta or -beta (_exp_rate); each closed form is written once in r and
@@ -272,6 +274,23 @@ def clock_coefficients(
         L = dilution_coefficient(law, clock)
         return L, L**e
     return reaction_coeff(law, clock, 1.0), reaction_coeff(law, clock, e)
+
+
+def _clock_pair(
+    law: EvolutionLaw, e: float, t_clock: bool
+) -> Callable[[float], tuple[float, float]]:
+    """clock -> clock_coefficients(law, clock, e, t_clock), bit for bit, built
+    once per law: fixed under the static law and, in t, under an exponential
+    law (L = 1 + N r); _exp_sigma_pair in sigma under an exponential law;
+    clock_coefficients on every call under the logistic law.  The clock is
+    not checked: a caller keeps it nonnegative and, in sigma, short of the
+    exp_growth horizon."""
+    if law.kind is LawKind.LOGISTIC:
+        return lambda clock: clock_coefficients(law, clock, e, t_clock)
+    if law.kind is LawKind.STATIC or t_clock:
+        ab = clock_coefficients(law, 0.0, e, t_clock)
+        return lambda clock: ab
+    return _exp_sigma_pair(law, e)
 
 
 def clock_end(law: EvolutionLaw, end: float, t_clock: bool) -> float:

@@ -96,13 +96,14 @@ refines a BlowUp.
 The per-run machinery lives in a _Ctx: indices, quadrature weights,
 Laplacian, inhibitor solve, coefficient exponent and clock end, the family
 flags, and what the config fixes.  rho^2 is 1 in the sigma clock and under
-the static law, and (a, b) does not move under the static law nor, in t,
-under an exponential law (L = 1 + N r); there they are worked out once,
-and otherwise once per step.  In the sigma clock an evolving law is
-exponential, and (a, b) = (L, L**e)/(1 - 2 r sigma) comes from
-evolution._exp_sigma_pair, built once per context with L**e worked out,
-so a step does two divides instead of two reaction_coeff calls, to the
-same bits; rhs() still checks its clock against the exp_growth horizon.
+the static law, and worked out once per step otherwise.  (a, b) comes
+from evolution._clock_pair, built once per context, as the Bernoulli
+oracle builds it: fixed under the static law and, in t, under an
+exponential law (L = 1 + N r); in the sigma clock, where an evolving law
+is exponential, (L, L**e)/(1 - 2 r sigma) with L**e worked out, so a step
+does two divides instead of two reaction_coeff calls, to the same bits;
+under the logistic law clock_coefficients on every step.  rhs() still
+checks its clock against the exp_growth horizon.
 The context also holds the step workspace: the mean's power of u (u^r in
 a step), u^p, a*u, and the Laplacian's own buffers (the rectangle's ghost
 frame, the ball's zero-padded fluxes), all overwritten by every step.
@@ -131,7 +132,7 @@ from .analysis import BlowUpReport, Verdict, _event_report
 from .evolution import (
     EvolutionLaw,
     LawKind,
-    _exp_sigma_pair,
+    _clock_pair,
     _require_nonnegative,
     clock_coefficients,
     clock_end,
@@ -340,19 +341,7 @@ class _Ctx:
         # rho is 1 in the sigma clock and under the static law; None where
         # the clock moves it
         self.rho2 = 1.0 if not kind.t_native or law.kind is LawKind.STATIC else None
-        # coefficients(clock) is the family's (a, b), Phi and Psi_e in its
-        # clock: fixed under the static law and, in t, under an exponential
-        # law (L = 1 + N r); in sigma, where every evolving law is
-        # exponential, the closed form with L**e built once; in t under the
-        # logistic law, clock_coefficients on every step
-        t_native, e = kind.t_native, self.e
-        if law.kind is LawKind.STATIC or (t_native and law.kind is not LawKind.LOGISTIC):
-            ab = clock_coefficients(law, 0.0, e, t_native)
-            self.coefficients = lambda clock: ab
-        elif t_native:
-            self.coefficients = lambda clock: clock_coefficients(law, clock, e, True)
-        else:
-            self.coefficients = _exp_sigma_pair(law, e)
+        self.coefficients = _clock_pair(law, self.e, kind.t_native)
         # fast_pow forms u^4 as (u^2)^2, so with r = 2 the u^r that every
         # step forms for the mean or FULL_RD's kinetics is u^4's factor
         self.up_from_ur = p.r == 2.0 and p.p == 4.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from gmshadow import (
     sigma_horizon,
     threshold_integral,
 )
+from gmshadow import analysis
+from gmshadow.evolution import clock_coefficients
 from gmshadow.initdata import spike_profile
 
 IDX = derive_indices(Parameters(p=3, q=2, r=1, s=2))  # gamma=2/3, omega=7/3
@@ -136,6 +139,92 @@ def test_oracle_logistic_between_neighbours():
     law = EvolutionLaw.logistic(0.1, 1.5, 2)
     got = bernoulli_oracle(law, IDX, 2.0, dt=2e-4).blowup_sigma
     assert SIGMA_G < got < SIGMA_1
+
+
+ORACLE_LAWS = [STATIC, GROWTH, DECAY, EvolutionLaw.logistic(0.5, 1.5, 2),
+               EvolutionLaw.logistic(0.5, 0.5, 2)]
+
+
+def _law_id(law):
+    return f"{law.kind.value}-m{law.m}" if law.kind is LawKind.LOGISTIC else law.kind.value
+
+
+# a decaying mean on every law, and a blow-up, whose tail reads the pair
+# too, on the fixed pair (static) and the sigma-clock closed form (exp_growth)
+PER_CALL_CASES = [(law, 0.5) for law in ORACLE_LAWS] + [(STATIC, 2.0), (GROWTH, 2.0)]
+
+
+@pytest.mark.parametrize("law, u0_mean", PER_CALL_CASES,
+                         ids=[f"{_law_id(law)}-{m}" for law, m in PER_CALL_CASES])
+def test_oracle_with_its_built_once_pair_is_the_per_call_oracle_bit_for_bit(
+        law, u0_mean, monkeypatch):
+    run = bernoulli_oracle(law, IDX, u0_mean, dt=1e-3, sigma_max=1.0)
+    assert (run.blowup_sigma is None) is (u0_mean < 1.0)
+    calls = []
+
+    def per_call_pair(law, e, t_clock):
+        def pair(clock):
+            calls.append(clock)
+            return clock_coefficients(law, clock, e, t_clock)
+        return pair
+
+    monkeypatch.setattr(analysis, "_clock_pair", per_call_pair)
+    ref = bernoulli_oracle(law, IDX, u0_mean, dt=1e-3, sigma_max=1.0)
+    assert calls
+    assert run.sigma.tobytes() == ref.sigma.tobytes()
+    assert run.values.tobytes() == ref.values.tobytes()
+    assert run.blowup_sigma == ref.blowup_sigma
+
+
+OMEGA_BELOW_1 = derive_indices(Parameters(p=4, q=4, r=2, s=1))  # omega = 2/3
+LOGISTIC = EvolutionLaw.logistic(0.1, 1.5, 2)
+
+
+@pytest.mark.parametrize("law, idx, kw, message", [
+    (STATIC, IDX, dict(dt=0.0), "dt must be positive, got 0.0"),
+    (LOGISTIC, IDX, dict(dt=0.0), "dt must be positive, got 0.0"),
+    (DECAY, IDX, dict(dt=-5e-4), "dt must be positive, got -0.0005"),
+    (GROWTH, IDX, dict(dt=math.nan), "dt must be positive, got nan"),
+    (STATIC, IDX, dict(u0_mean=math.nan),
+     "u0_mean must be a finite nonnegative number, got nan"),
+    (STATIC, IDX, dict(u0_mean=-1.0), "u0_mean must be a finite nonnegative number, got -1.0"),
+    (DECAY, IDX, dict(u0_mean=math.inf),
+     "u0_mean must be a finite nonnegative number, got inf"),
+    (STATIC, IDX, dict(sigma_max=math.nan), "sigma_max must be a nonnegative number, got nan"),
+    (LOGISTIC, IDX, dict(sigma_max=-1.0), "sigma_max must be a nonnegative number, got -1.0"),
+    (STATIC, OMEGA_BELOW_1, dict(sigma_max=math.inf),
+     "sigma_max=inf never ends the integration under static"),
+    (DECAY, IDX, dict(sigma_max=math.inf), "sigma_max=inf never ends the integration under exp_decay"),
+    (LOGISTIC, IDX, dict(sigma_max=math.inf),
+     "sigma_max=inf never ends the integration under logistic"),
+], ids=["dt_zero", "dt_zero_logistic", "dt_negative", "dt_nan", "mean_nan", "mean_negative",
+        "mean_inf", "sigma_max_nan", "sigma_max_negative", "sigma_max_inf_static",
+        "sigma_max_inf_decay", "sigma_max_inf_logistic"])
+def test_oracle_rejects_inputs_that_hang_it_or_mislead(law, idx, kw, message, monkeypatch):
+    # each is rejected before the pair is built, so before any step
+    def unbuilt(*args):
+        raise AssertionError("the oracle started integrating")
+
+    monkeypatch.setattr(analysis, "_clock_pair", unbuilt)
+    args = dict(u0_mean=2.0, dt=1e-3, sigma_max=1.0) | kw
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bernoulli_oracle(law, idx, **args)
+
+
+def test_oracle_takes_an_infinite_dt_a_zero_mean_and_an_infinite_sigma_max_under_growth():
+    # exp_growth's sigma horizon ends an integration to sigma_max = inf
+    got = bernoulli_oracle(GROWTH, IDX, 2.0, dt=math.inf, sigma_max=math.inf).blowup_sigma
+    assert got == pytest.approx(SIGMA_G, rel=1e-6)
+    zero = bernoulli_oracle(STATIC, IDX, 0.0, dt=1e-3, sigma_max=1.0)
+    assert zero.values.tolist() == [0.0, 0.0] and zero.blowup_sigma is None
+
+
+@pytest.mark.parametrize("law", ORACLE_LAWS, ids=_law_id)
+def test_oracle_stops_at_sigma_max_under_every_law(law):
+    # the logistic law is integrated in t, to t(sigma_max)
+    res = bernoulli_oracle(law, IDX, 0.5, dt=1e-3, sigma_max=4.0)
+    assert res.blowup_sigma is None
+    assert res.sigma[-1] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_moment_check_constant_fields():

@@ -275,6 +275,8 @@ def test_cli_run_unknown_preset(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "missing.ini")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="^unknown preset 'nosuch'; have "):
+        run_preset("nosuch", str(tmp_path))
 
 
 def test_cli_convert_time(capsys):

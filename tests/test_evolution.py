@@ -18,7 +18,7 @@ from gmshadow import (
     sigma_of_t,
     t_of_sigma,
 )
-from gmshadow.evolution import _exp_sigma_pair, clock_coefficients, clock_end
+from gmshadow.evolution import _clock_pair, _exp_sigma_pair, clock_coefficients, clock_end
 
 STATIC = EvolutionLaw.static(2)
 GROWTH = EvolutionLaw.exp_growth(0.1, 2)
@@ -218,10 +218,16 @@ def test_clock_and_coefficient_functions_reject_nan_and_negative(law, fn, bad):
         fn(law, bad)
 
 
-@pytest.mark.parametrize("horizon", [(math.nan, 1.0), (0.0, math.nan), (-0.1, 1.0), (1.0, 0.5)])
-def test_coefficient_bounds_rejects_bad_interval(horizon):
-    with pytest.raises(ValueError, match="bad sigma interval"):
-        coefficient_bounds(STATIC, 0.5, horizon)
+@pytest.mark.parametrize("law, horizon, message", [
+    (STATIC, (math.nan, 1.0), "bad sigma interval"),
+    (STATIC, (0.0, math.nan), "bad sigma interval"),
+    (STATIC, (-0.1, 1.0), "bad sigma interval"),
+    (STATIC, (1.0, 0.5), "bad sigma interval"),
+    (GROWTH, (5.0, 6.0), "interval start 5.0 beyond the sigma horizon 5.0"),
+], ids=["horizon0", "horizon1", "horizon2", "horizon3", "beyond_growth_horizon"])
+def test_coefficient_bounds_rejects_bad_interval(law, horizon, message):
+    with pytest.raises(ValueError, match=message):
+        coefficient_bounds(law, 0.5, horizon)
 
 
 def test_infinite_clocks_stay_legal():
@@ -321,6 +327,7 @@ def test_clock_coefficients_match_per_family_pairs_bit_for_bit(law):
             for g in GAMMAS:
                 for e, pair in _old_family_pairs(law, clock, g, t_clock).items():
                     assert clock_coefficients(law, clock, e, t_clock) == pair
+                    assert _clock_pair(law, e, t_clock)(clock) == pair
 
 
 @pytest.mark.parametrize("law", [law for law in CLOCK_LAWS if law in EXP_LAWS],

@@ -577,6 +577,17 @@ def test_grid_range_checks_name_the_value(make, message):
         make()
 
 
+@pytest.mark.parametrize("laplacian, field, message", [
+    (laplacian_rect, lambda: Field(RadialGrid(3, 9), np.ones(9)),
+     "laplacian_rect needs a Field on a RectGrid"),
+    (laplacian_radial, lambda: Field(RectGrid(5, 5), np.ones((5, 5))),
+     "laplacian_radial needs a Field on a RadialGrid"),
+], ids=["rect_on_radial", "radial_on_rect"])
+def test_grid_laplacians_reject_the_other_grid(laplacian, field, message):
+    with pytest.raises(TypeError, match=message):
+        laplacian(field())
+
+
 def test_fast_pow_to_the_zero_is_one_at_every_float():
     x = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5, 3.0])
     want = np.ones_like(x)

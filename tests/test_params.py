@@ -4,6 +4,8 @@ import re
 import pytest
 
 from gmshadow import (
+    EvolutionLaw,
+    LawKind,
     Parameters,
     derive_indices,
     diffusion_blowup_condition,
@@ -66,7 +68,8 @@ TABLE1 = dict(p=3, q=2, r=1, s=2)
     (lambda: global_existence_condition(derive_indices(Parameters(**TABLE1)),
                                         Parameters(**TABLE1), 0),
      "dimension must be >= 1, got 0"),
-], ids=["s", "r", "q", "D1", "D2", "tau", "n_dim"])
+    (lambda: EvolutionLaw(LawKind.STATIC, dimension=4), "dimension must be 1, 2 or 3, got 4"),
+], ids=["s", "r", "q", "D1", "D2", "tau", "n_dim", "law_dim"])
 def test_range_checks_name_the_value(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()

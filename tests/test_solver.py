@@ -123,6 +123,17 @@ def test_rhs_rejects_a_nonpositive_or_nan_activator(bad):
         rhs(cfg, u, None, 0.0)
 
 
+def test_rhs_rejects_a_nonlocal_mean_that_underflows_and_step_ends_it_non_finite():
+    # u^2 of 1e-200 underflows to 0, so the mean is 0 though u is positive
+    from gmshadow import NonPositiveStateError
+    cfg = small_cfg(params=Parameters(p=3, q=2, r=2, s=2), quench_threshold=0.0)
+    u = const_field(cfg.grid, 1e-200)
+    with pytest.raises(NonPositiveStateError, match=re.escape("nonlocal mean of u^2 is 0.0")):
+        rhs(cfg, u, None, 0.0)
+    state = step(cfg, RunState(u=u.values, aux=None, clock=0.0))
+    assert (state.verdict, state.steps, state.clock) == (Verdict.NON_FINITE, 0, 0.0)
+
+
 def test_rhs_t_form_uses_dilution_coefficients():
     cfg = small_cfg(system=SystemKind.NONLOCAL_T, law=DECAY)
     t = 0.7
@@ -1079,6 +1090,33 @@ def test_step_ends_an_x_invariant_infinite_state_non_finite_as_the_grid_does(
     assert results[0] == results[1] == (Verdict.NON_FINITE, 0, 0.0, 0.0)
 
 
+def test_step_on_a_terminated_run_raises():
+    cfg = small_cfg(end_time=0.05)
+    state = _step_loop(cfg)
+    assert state.verdict is Verdict.HORIZON_REACHED
+    with pytest.raises(RuntimeError, match="^run already terminated$"):
+        step(cfg, state)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_step_ends_non_finite_when_the_update_overflows_on_grid_and_column():
+    # a finite u whose update overflows: at 1e308 the stencil is -inf and
+    # u^3 is inf, so the rate there is NaN, and so is the new u
+    cfg = small_cfg(grid=RectGrid(3, 3), blowup_threshold=math.inf)
+    grid_u, column_u = np.ones((3, 3)), np.ones((3, 3))
+    grid_u[1, 1] = 1e308
+    column_u[1] = 1e308
+    assert not mesh._x_invariant(grid_u) and mesh._x_invariant(column_u)
+    results = []
+    for u in (grid_u, column_u):
+        state = step(cfg, RunState(u=u, aux=None, clock=0.0))
+        assert np.isnan(state.u).any()
+        results.append((state.verdict, state.steps, state.clock, state.dt_last))
+    assert results[0] == results[1]
+    assert results[0][:2] == (Verdict.NON_FINITE, 1)
+
+
 SIGMA_PAIR_CASES = {
     f"{system.value}-{law.kind.value}": small_cfg(
         system=system, params=Parameters(p=3, q=2, r=1, s=2, tau=0.1), law=law, grid=RectGrid(11, 14), init=COSINE,
@@ -1095,13 +1133,13 @@ def test_sigma_clock_steps_with_the_built_once_pair_as_with_clock_coefficients(
     assert run.steps > 50
     calls = []
 
-    def per_step_pair(law, e):
+    def per_step_pair(law, e, t_clock):
         def pair(sigma):
             calls.append(sigma)
-            return clock_coefficients(law, sigma, e, False)
+            return clock_coefficients(law, sigma, e, t_clock)
         return pair
 
-    monkeypatch.setattr(solver, "_exp_sigma_pair", per_step_pair)
+    monkeypatch.setattr(solver, "_clock_pair", per_step_pair)
     ref = _step_loop(cfg)
     assert len(calls) == ref.steps
     assert (run.steps, run.clock, run.dt_last, run.verdict) == (
