@@ -30,6 +30,7 @@ from .evolution import (
     CoefficientBounds,
     _clock_pair,
     _exp_rate,
+    _require_nonnegative,
     clock_coefficients,
     clock_end,
     sigma_horizon,
@@ -76,6 +77,11 @@ class BoundReport:
     applicable: bool
 
 
+def _check_u0_mean(u0_mean: float) -> None:
+    if not 0.0 <= u0_mean < math.inf:
+        raise ValueError(f"u0_mean must be a finite nonnegative number, got {u0_mean}")
+
+
 def _log_int_L(law: EvolutionLaw, t: float) -> float:
     """int_0^t L(eta) deta for the logistic law, in closed form."""
     b, n, m = law.beta, law.dimension, law.m
@@ -89,8 +95,10 @@ def threshold_integral(
 
     Closed forms for static/exponential laws; adaptive quadrature (in the
     t variable, where the integrand is L^gamma exp((1-omega) int L)) for
-    the logistic law.  Requires omega > 1.
+    the logistic law.  Requires omega > 1.  Raises ValueError unless
+    sigma_max is >= 0 (inf included).
     """
+    _require_nonnegative("sigma_max", sigma_max)
     w, g = idx.omega, idx.gamma
     if w <= 1.0:
         raise ValueError(f"threshold integral needs omega > 1, got omega={w}")
@@ -150,7 +158,9 @@ def bernoulli_bound(
     on the kinetic side; callers in that regime get a rigorous bound.
     sigma_upper is reported only for laws with a closed form (static and
     exponential); a logistic law yields the threshold but no closed bound.
+    Raises ValueError unless u0_mean is finite and >= 0.
     """
+    _check_u0_mean(u0_mean)
     w, g = idx.omega, idx.gamma
     if w <= 1.0:
         return BoundReport(math.nan, math.nan, None, False)
@@ -191,7 +201,10 @@ def bernoulli_oracle(
 ) -> OracleResult:
     """Integrate F' = -Phi F + Psi F^omega with step-halving error control.
 
-    Uses Euler step doubling with Richardson correction; at F >= 1e10 the
+    Uses Euler step doubling with Richardson correction; a step is retried
+    at half the length when it fails the error test, or when its half-step
+    stage F + h/2 F' is negative (near the exp_growth horizon Phi grows
+    without bound, so a decaying F can overshoot zero).  At F >= 1e10 the
     analytic tail F^(1-omega)/((omega-1) Psi) is added to the reported
     blow-up time.  The logistic law is integrated in the t clock (where its
     coefficients are closed-form), to t(sigma_max), and reported in sigma.
@@ -206,10 +219,8 @@ def bernoulli_oracle(
     # written so that NaN fails too
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not 0.0 <= u0_mean < math.inf:
-        raise ValueError(f"u0_mean must be a finite nonnegative number, got {u0_mean}")
-    if not sigma_max >= 0.0:
-        raise ValueError(f"sigma_max must be a nonnegative number, got {sigma_max}")
+    _check_u0_mean(u0_mean)
+    _require_nonnegative("sigma_max", sigma_max)
     w, g = idx.omega, idx.gamma
     in_t = law.kind is LawKind.LOGISTIC
     end = clock_end(law, sigma_max, in_t)
@@ -236,6 +247,11 @@ def bernoulli_oracle(
         f1 = rhs(clock, F)
         full = F + h * f1
         half = F + 0.5 * h * f1
+        if half < 0.0:
+            # F**omega of a negative stage is complex or of the wrong sign;
+            # as h -> 0 the stage tends to F >= 0
+            h *= 0.5
+            continue
         half = half + 0.5 * h * rhs(clock + 0.5 * h, half)
         err = abs(half - full)
         scale = rtol * max(abs(half), 1.0)

@@ -72,6 +72,23 @@ class RectGrid:
         wy = _trapezoid(self.ny)
         return wy / wy.sum()
 
+    def average_operator(self) -> Callable[[np.ndarray], float]:
+        """average(x) = the quadrature average of a float field x on the
+        grid, or of the (ny, 1) column that stands for a field constant
+        along x.  A column, and a field that passes _x_invariant, is
+        averaged on its first column: _weighted_sum(column_weights(),
+        column), one np.dot of ny entries.  Every other field is
+        _weighted_sum(quad_weights(), x), flattened.  So a column has the
+        mean of the field it stands for, bit for bit."""
+        w, wy = self.quad_weights().ravel(), self.column_weights()
+
+        def average(x: np.ndarray) -> float:
+            if x.shape[1] == 1 or _x_invariant(x):
+                return _weighted_sum(wy, np.ascontiguousarray(x[:, 0]))
+            return _weighted_sum(w, x.ravel())
+
+        return average
+
     def laplacian_operator(self) -> Stencil:
         """5-point Laplacian on (ny, nx) arrays, Neumann by ghost-node reflection.
 
@@ -107,7 +124,16 @@ class RectGrid:
             e[1:-1, -1] = u[:, -2]
             e[0, 1:-1] = u[1]
             e[-1, 1:-1] = u[-2]
-            _five_point(centre, east, west, north, south, hx2, hy2, two_u, acc)
+            # ((E - 2u) + W)/hx2 + ((N - 2u) + S)/hy2, N the next row and S
+            # the previous one
+            np.multiply(centre, 2.0, out=two_u)
+            np.subtract(east, two_u, out=acc)
+            np.add(acc, west, out=acc)
+            np.divide(acc, hx2, out=acc)
+            np.subtract(north, two_u, out=two_u)
+            np.add(two_u, south, out=two_u)
+            np.divide(two_u, hy2, out=two_u)
+            np.add(acc, two_u, out=acc)
             return interior.copy()
 
         return lap
@@ -157,11 +183,10 @@ class RectGrid:
 
         The type-I DCT matrix C of each axis (C @ C = 2(N-1) I) is built
         once, so a solve is four small matmuls: vhat = Cy v Cx^T, divided
-        by 4(nx-1)(ny-1)(1 - nu*lam), then Cy vhat Cx^T.  A float64 v
-        whose every column equals its first bit for bit is solved by
-        column_resolvent_operator() instead and the column broadcast, so
-        the result is exactly constant along x too.  Each call returns a
-        fresh array.
+        by 4(nx-1)(ny-1)(1 - nu*lam), then Cy vhat Cx^T.  A v that passes
+        _x_invariant is solved by column_resolvent_operator() instead and
+        the column widened by _widen, so the result is exactly constant
+        along x too.  Each call returns a fresh array.
         """
         cx = _dct1_matrix(self.nx)
         cy = cx if self.ny == self.nx else _dct1_matrix(self.ny)
@@ -170,11 +195,10 @@ class RectGrid:
         lam = ly[:, None] + _dct1_eigenvalues(self.nx)[None, :]
         norm = 4.0 * (self.nx - 1) * (self.ny - 1)
         column = _column_solve(cy, ly)
-        shape = self.shape
 
         def solve(v: np.ndarray, nu: float) -> np.ndarray:
             if _x_invariant(v):
-                return np.broadcast_to(column(v[:, :1], nu), shape).copy()
+                return _widen(column(v[:, :1], nu), v.shape)
             vhat = cy @ v @ cxt
             vhat /= norm * (1.0 - nu * lam)
             return cy @ vhat @ cxt
@@ -231,18 +255,16 @@ def _x_invariant(u: np.ndarray) -> bool:
     return bool((bits == bits[:, :1]).all())
 
 
-def _five_point(centre, east, west, north, south, hx2, hy2, two_u, acc) -> None:
-    """The 5-point stencil's arithmetic, element by element, into acc:
-    ((E - 2u) + W)/hx2 + ((N - 2u) + S)/hy2, with N the next row and S
-    the previous one; two_u is overwritten."""
-    np.multiply(centre, 2.0, out=two_u)
-    np.subtract(east, two_u, out=acc)
-    np.add(acc, west, out=acc)
-    np.divide(acc, hx2, out=acc)
-    np.subtract(north, two_u, out=two_u)
-    np.add(two_u, south, out=two_u)
-    np.divide(two_u, hy2, out=two_u)
-    np.add(acc, two_u, out=acc)
+def _widen(x: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """x itself when it has `shape`; otherwise the (ny, nx) float64 field, a
+    fresh C-contiguous array, whose every column is the (ny, 1) column x:
+    written into np.empty by slice assignment, which costs less than
+    np.broadcast_to(x, shape).copy()."""
+    if x.shape == shape:
+        return x
+    out = np.empty(shape)
+    out[:] = x
+    return out
 
 
 def _dct1_eigenvalues(n: int) -> np.ndarray:
@@ -315,6 +337,12 @@ class RadialGrid:
 
     def quad_weights(self) -> np.ndarray:
         return self.cell_volumes()
+
+    def average_operator(self) -> Callable[[np.ndarray], float]:
+        """average(x) = _weighted_sum(quad_weights(), x), the cell-volume
+        average of a float field x for the measure N*R^(N-1) dR."""
+        w = self.quad_weights()
+        return lambda x: _weighted_sum(w, x)
 
     def face_areas(self) -> np.ndarray:
         """R^(N-1) at the M-1 interior cell faces R_i + h/2."""
@@ -398,31 +426,15 @@ def mean(f: Field, power: float = 1.0) -> float:
     """Domain average (1/|Omega|) int f^power by the grid's quadrature.
 
     Rectangle: tensor trapezoid, or the normalised y-trapezoid on the first
-    column when f^power is constant along x (see _rect_average).  Ball:
-    cell-volume weights for the measure N*R^(N-1) dR.  Every weight set is
-    normalised to sum to 1 up to rounding.  This is the solver's kernel, so
-    a field's mean here equals the solver's mean of it bit for bit.
+    column when f^power is constant along x.  Ball: cell-volume weights for
+    the measure N*R^(N-1) dR.  Every weight set is normalised to sum to 1
+    up to rounding.  The kernel is the grid's average_operator(), the
+    solver's too, so a field's mean here equals the solver's mean of it
+    bit for bit.
     """
-    u, g = f.values, f.grid
-    if power < 0.0 and np.any(u <= 0.0):
+    if power < 0.0 and np.any(f.values <= 0.0):
         raise ValueError("negative power requires strictly positive values")
-    x, w = _fast_pow(u, power), g.quad_weights().ravel()
-    if isinstance(g, RectGrid):
-        return _rect_average(w, g.column_weights(), x)
-    return _weighted_sum(w, x)
-
-
-def _rect_average(w: np.ndarray, wy: np.ndarray, x: np.ndarray) -> float:
-    """The one weighted-mean kernel of the rectangle: the average of a field
-    x whose grid has the flat normalised weights w and the column_weights()
-    wy.  A field that passes _x_invariant, and a (ny, 1) float64 column,
-    which stands for such a field, is averaged on its first column:
-    _weighted_sum(wy, column), one np.dot of ny entries up to _DOT_BLOCK.
-    Every other field is _weighted_sum(w, x).  So a column has the mean of
-    the field it stands for, bit for bit."""
-    if x.shape[1] == 1 or _x_invariant(x):
-        return _weighted_sum(wy, np.ascontiguousarray(x[:, 0]))
-    return _weighted_sum(w, x.ravel())
+    return f.grid.average_operator()(_fast_pow(f.values, power))
 
 
 # _weighted_sum's block length.  OpenBLAS splits a dot product over more

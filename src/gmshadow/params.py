@@ -88,8 +88,10 @@ def turing_condition(idx: DerivedIndices) -> bool:
 def global_existence_condition(idx: DerivedIndices, params: Parameters, n_dim: int) -> bool:
     """Sufficient condition for global-in-time solutions of the non-local equation.
 
-    Requires pi < min(1, 2/N, (1/2)(1 - 1/r)) and 0 < gamma < 1.
+    Requires pi < min(1, 2/N, (1/2)(1 - 1/r)) and 0 < gamma < 1.  Raises
+    ValueError unless n_dim is an integer >= 1.
     """
+    _check_integer("dimension", n_dim)
     if n_dim < 1:
         raise ValueError(f"dimension must be >= 1, got {n_dim}")
     bound = min(1.0, 2.0 / n_dim, 0.5 * (1.0 - 1.0 / params.r))
@@ -101,7 +103,9 @@ def diffusion_blowup_condition(idx: DerivedIndices, params: Parameters, n_dim: i
 
     N >= 3, 1 <= r <= p, p > N/(N-2), 2/N < pi < gamma, gamma > 1.
     At N <= 2 the constraint p > N/(N-2) is treated as unsatisfiable.
+    Raises ValueError unless n_dim is an integer >= 1.
     """
+    _check_integer("dimension", n_dim, 1)
     if n_dim < 3:
         return False
     return (

@@ -25,14 +25,13 @@ denom = (avg u^r)^gamma, eta^q or v^q.  The inhibitors reuse the same a.
 The rate is formed in the Laplacian's fresh output array, in that order,
 and a multiply by a coefficient d, a or b equal to 1.0 is skipped.  The
 sigma-clock families stop at evolution.clock_end.  Every weighted mean is
-_Ctx.average or mesh.mean, one kernel per grid: mesh._weighted_sum, BLAS
-dot products over blocks of at most 8,192 entries summed left to right,
-on the ball; on the rectangle mesh._rect_average, which averages a
-float64 field constant along x, and a column, on its column by one dot of
-ny entries with the normalised y-trapezoid weights, and every other field
-by _weighted_sum.  So no dot is split across BLAS threads, the mean is the
-same at every thread count, and a column has the mean of the field it
-stands for.
+_Ctx.average or mesh.mean, and both call the grid's average_operator():
+on the ball mesh._weighted_sum, BLAS dot products over blocks of at most
+8,192 entries summed left to right; on the rectangle one dot of ny entries
+with the normalised y-trapezoid weights for a float64 field constant
+along x, and for a column, and _weighted_sum for every other field.  So
+no dot is split across BLAS threads, the mean is the same at every thread
+count, and a column has the mean of the field it stands for.
 
 The effective step is min(dt, h^2/(4 D_eff), relative growth clamp); the
 clamp keeps each update below ~10% of the solution scale so runs terminate
@@ -63,37 +62,37 @@ reductions on v and daux; its inhibitor update (the kinetics and the
 spectral solve, which dominates its step) forms v^q once when q = s, and
 aux + dt*daux in daux's fresh array.
 
-advance() steps a rectangle run on one column when u0 is constant along
-x, every column equal to the first bit for bit, as the cosine datum of
-every config-driven rectangle run is (FULL_RD's v0 is a constant).  A
-step keeps such a field constant along x: every operation but the
-stencil, the means and FULL_RD's inhibitor solve is pointwise, the
-stencil's x-term ((u - 2u) + u)/hx^2 is the same at every node of a row,
-the mean of an x-invariant field is its column's, and the solve of an
-x-invariant v is its column's solve, broadcast.  So the run steps the
-(ny, 1) column through the same _step, with the column stencil
-RectGrid.column_laplacian_operator (the 2-D stencil's y-term plus +0.0,
-the 2-D x-term being +0.0 on a finite column, so its result bit for bit
-on every state a step reaches the stencil with), FULL_RD's column solve
-RectGrid.column_resolvent_operator and a column workspace.  Every step,
-dt, sample and verdict is then the 2-D run's bit for bit, at a sixth to a
-seventh of the cost per step on 128x128, and a tenth for FULL_RD (2-vCPU
-host).  Snapshots and the state the run ends with are expanded (ny, nx)
-copies.  step() does the same for one step: a float64 state constant
-along x (u, and FULL_RD's v with it, mesh._x_invariant: one pass over the
-bits after a one-node pre-check) is stepped on its column and the result
-written into a fresh (ny, nx) array (_widen); any other array a caller
-passes, and every rhs() call, takes the whole grid.  On one CPU of a
-2-vCPU host a step() call costs about 39 us on exp1's x-invariant 128x128
-datum, against about 220 us for a whole-grid step, and 27-28 us on
-shadow_step's 49x49 sigma-clock states, whose column _step is 16-17 us.
+A rectangle state whose u (and FULL_RD's v) is float64 and constant along
+x, every column equal to the first bit for bit (mesh._x_invariant: one
+pass over the bits after a one-node pre-check), is stepped on its (ny, 1)
+column, as the cosine datum of every config-driven rectangle run is;
+_on_column makes that choice for advance() and step() alike.  A step keeps
+such a field constant along x: every operation but the stencil, the means
+and FULL_RD's inhibitor solve is pointwise, the stencil's x-term
+((u - 2u) + u)/hx^2 is the same at every node of a row, the mean of an
+x-invariant field is its column's, and the solve of an x-invariant v is
+its column's solve, widened.  So the column steps through the same _step,
+with the column stencil RectGrid.column_laplacian_operator (the 2-D
+stencil's y-term plus +0.0, the 2-D x-term being +0.0 on a finite column,
+so its result bit for bit on every state a step reaches the stencil
+with), FULL_RD's column solve RectGrid.column_resolvent_operator and a
+column workspace.  Every step, dt, sample and verdict is then the 2-D
+run's bit for bit, at a sixth to a seventh of the cost per step on
+128x128, and a tenth for FULL_RD (2-vCPU host).  mesh._widen writes a
+column into a fresh (ny, nx) array: the new u (and v) of a step() call,
+advance()'s snapshots and the state a run ends with.  Any other array a
+caller passes, and every rhs() call, takes the whole grid.  On one CPU of
+a 2-vCPU host a step() call costs about 39 us on exp1's x-invariant
+128x128 datum, against about 220 us for a whole-grid step, and 27-28 us
+on shadow_step's 49x49 sigma-clock states, whose column _step is
+16-17 us.
 
 _step alone decides a run's verdict and ends it at the terminal clock,
 which advance() samples last; the report takes that verdict and, for
 BlowUp and Quench, the event times from that sample, and analysis only
 refines a BlowUp.
 
-The per-run machinery lives in a _Ctx: indices, quadrature weights,
+The per-run machinery lives in a _Ctx: indices, the grid's average,
 Laplacian, inhibitor solve, coefficient exponent and clock end, the family
 flags, and what the config fixes.  rho^2 is 1 in the sigma clock and under
 the static law, and worked out once per step otherwise.  (a, b) comes
@@ -109,11 +108,13 @@ a step), u^p, a*u, and the Laplacian's own buffers (the rectangle's ghost
 frame, the ball's zero-padded fluxes), all overwritten by every step.
 Every family forms u^r before u^p (the mean, or FULL_RD's kinetics), so
 with r = 2 and p = 4 the step squares that u^2 for u^4, the product
-fast_pow would form.  advance() builds one context per run; step() keeps one on the RunState and rebuilds it only
-when the config no longer equals the snapshot the context was built from,
-so an in-place edit of a RunConfig between calls takes effect, and each
-build re-runs the config's validation; its column twin (_Ctx.column),
-for x-invariant states, is built once on that same validated context.
+fast_pow would form.  A context is always built for the whole grid; its
+column twin (_Ctx.column), for x-invariant states, is built once on that
+same validated context.  advance() builds one context per run; step()
+keeps one on the RunState and rebuilds it only when the config no longer
+equals the snapshot the context was built from, so an in-place edit of a
+RunConfig between calls takes effect, and each build re-runs the
+config's validation.
 Because of the workspace, use one RunState per thread: copy.copy(state)
 shares the context, while copy.deepcopy and pickle rebuild it from its
 config.
@@ -141,8 +142,7 @@ from .evolution import (
     t_of_sigma,
 )
 from .initdata import InitSpec, _check_fits, build_initial
-from .mesh import (Field, Grid, RadialGrid, RectGrid, _rect_average, _weighted_sum,
-                   _x_invariant, mean)
+from .mesh import Field, Grid, RadialGrid, RectGrid, _widen, _x_invariant, mean
 from .mesh import _fast_pow as fast_pow
 from .params import Parameters, _check_integer, derive_indices
 
@@ -311,27 +311,26 @@ class RunState:
 
 
 class _Ctx:
-    """Per-run machinery and the step workspace: weights, Laplacian,
-    inhibitor solve, coefficient exponent, clock end, what the config fixes
-    of rho^2, the family's (a, b) as a function of the clock (coefficients,
-    fixed or built once where the law allows), and the preallocated
-    per-step temporaries.
+    """Per-run machinery and the step workspace: the grid's average,
+    Laplacian, inhibitor solve, coefficient exponent, clock end, what the
+    config fixes of rho^2, the family's (a, b) as a function of the clock
+    (coefficients, fixed or built once where the law allows), and the
+    preallocated per-step temporaries.
 
     A column context steps the (ny, 1) column of a rectangle field constant
     along x: its Laplacian, inhibitor solve and workspace are column-shaped,
-    and its average is the column's, by the same kernel as the grid's.
-    column() gives a grid context's column twin, built once on the same
-    validated config and weights."""
+    and it shares the grid's average, which takes a column too.  column()
+    gives a grid context's column twin, built once on the same validated
+    config."""
 
-    def __init__(self, config: RunConfig, column: bool = False):
+    def __init__(self, config: RunConfig):
         # a shallow snapshot: it re-runs RunConfig's validation, and step()
         # compares it with the caller's config to see an in-place edit
         self.cfg = cfg = replace(config)
         p, law, kind = cfg.params, cfg.law, cfg.system
         self.idx = derive_indices(p)
         g = cfg.grid
-        self.w = g.quad_weights().ravel()
-        self.wy = g.column_weights() if isinstance(g, RectGrid) else None
+        self.quadrature = g.average_operator()
         self.pin_outer = isinstance(g, RadialGrid) and g.outer_bc == "dirichlet"
         self.h2 = g.h_min**2
         self.shadow = kind is SystemKind.SHADOW_TAU
@@ -345,36 +344,33 @@ class _Ctx:
         # fast_pow forms u^4 as (u^2)^2, so with r = 2 the u^r that every
         # step forms for the mean or FULL_RD's kinetics is u^4's factor
         self.up_from_ur = p.r == 2.0 and p.p == 4.0
-        self._column = None
-        self._layout(column)
-
-    def _layout(self, column: bool) -> None:
-        """The shape-bound part: Laplacian, inhibitor solve and workspace,
-        on the grid or on the (ny, 1) column."""
-        g = self.cfg.grid
-        self.on_column = column
-        self.laplacian = g.column_laplacian_operator() if column else g.laplacian_operator()
+        # the shape-bound part, which column() replaces: Laplacian,
+        # inhibitor solve and workspace
+        self.laplacian = g.laplacian_operator()
         if self.full_rd:
             # (I - nu*Lap)^-1, exact in the grid's cosine basis
-            self.diffuse_inhibitor = (g.column_resolvent_operator() if column
-                                      else g.resolvent_operator())
+            self.diffuse_inhibitor = g.resolvent_operator()
         # the workspace, overwritten by every step: the mean's power of u
         # (u^r in a step), u^p, and a*u (then b*u^p/denom when u^p is u)
-        shape = (g.ny, 1) if column else g.shape
-        self.ur, self.up, self.scratch = np.empty((3, *shape))
+        self.ur, self.up, self.scratch = np.empty((3, *g.shape))
+        self._column = None
 
     def __reduce__(self):
         # the operators are closures; a copy rebuilds them with its own buffers
-        return (_Ctx, (self.cfg, self.on_column))
+        return (_Ctx, (self.cfg,))
 
     def column(self) -> _Ctx:
         """This grid context's column twin, built on first use and kept:
-        the same config, weights and coefficients, with a column layout."""
+        the same config, average and coefficients, with a column Laplacian,
+        inhibitor solve and workspace (and itself as its column())."""
         if self._column is None:
-            twin = object.__new__(_Ctx)
+            twin = self._column = object.__new__(_Ctx)
             twin.__dict__.update(self.__dict__)
-            twin._layout(True)
-            self._column = twin
+            g = self.cfg.grid
+            twin.laplacian = g.column_laplacian_operator()
+            if self.full_rd:
+                twin.diffuse_inhibitor = g.column_resolvent_operator()
+            twin.ur, twin.up, twin.scratch = np.empty((3, g.ny, 1))
         return self._column
 
     def rho_squared(self, clock: float) -> float:
@@ -388,10 +384,7 @@ class _Ctx:
         """The quadrature average of u^power by mesh.mean's kernel, so equal
         to mesh.mean bit for bit, on the grid and on the column alike;
         u^power is left in self.ur."""
-        x = fast_pow(u, power, self.ur)
-        if self.wy is None:
-            return _weighted_sum(self.w, x)
-        return _rect_average(self.w, self.wy, x)
+        return self.quadrature(fast_pow(u, power, self.ur))
 
     def nonlocal_mean(self, u: np.ndarray, power: float) -> float:
         m = self.average(u, power)
@@ -534,8 +527,9 @@ def step(config: RunConfig, state: RunState) -> RunState:
     The context is kept on the state and rebuilt, with the config's
     validation, only when config differs from the one it was built from.
     A float64 rectangle state constant along x (u, and FULL_RD's v with
-    it) is stepped on its (ny, 1) column, as advance() steps it, and the
-    new u (and v) expanded to (ny, nx): the 2-D step's numbers bit for bit.
+    it) is stepped on its (ny, 1) column (_on_column), as advance() steps
+    it, and the new u (and v) widened to (ny, nx): the 2-D step's numbers
+    bit for bit.
     Raises ValueError when the config is invalid or the state does not
     fit it.
     """
@@ -544,15 +538,9 @@ def step(config: RunConfig, state: RunState) -> RunState:
     ctx = state._ctx
     if ctx is None or ctx.cfg != config:
         ctx = state._ctx = _Ctx(config)
-    u, aux = state.u, state.aux
+    u, aux, steps = state.u, state.aux, state.steps
     _check_state(ctx.cfg, u, aux, state.clock)
-    if not (ctx.wy is not None and _x_invariant(u) and (not ctx.full_rd or _x_invariant(aux))):
-        _step(ctx, state, _max(u), _min(u))
-        return state
-    ctx, steps = ctx.column(), state.steps
-    state.u = u[:, :1].copy()
-    if ctx.full_rd:
-        state.aux = aux[:, :1].copy()
+    ctx = _on_column(ctx, state)
     _step(ctx, state, _max(state.u), _min(state.u))
     if state.steps == steps:
         # ended before the update: the caller's arrays stay
@@ -564,13 +552,18 @@ def step(config: RunConfig, state: RunState) -> RunState:
     return state
 
 
-def _widen(column: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The (ny, nx) float64 field, a fresh C-contiguous array, whose every
-    column is `column`: written into np.empty by slice assignment, which
-    costs less than np.broadcast_to(column, shape).copy()."""
-    out = np.empty(shape)
-    out[:] = column
-    return out
+def _on_column(ctx: _Ctx, state: RunState) -> _Ctx:
+    """The context that steps `state`: ctx.column(), with state.u (and
+    FULL_RD's v) cut to a fresh copy of its (ny, 1) column, when the grid is
+    a rectangle and u (and v) pass _x_invariant; ctx, and the state as it
+    is, otherwise."""
+    if not (isinstance(ctx.cfg.grid, RectGrid) and _x_invariant(state.u)
+            and (not ctx.full_rd or _x_invariant(state.aux))):
+        return ctx
+    state.u = state.u[:, :1].copy()
+    if ctx.full_rd:
+        state.aux = state.aux[:, :1].copy()
+    return ctx.column()
 
 
 def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, float]:
@@ -653,28 +646,18 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     The report's verdict is _step's; a BlowUp or Quench is reported by
     analysis._event_report at the last sample, the terminal clock.
 
-    A rectangle run whose u0 has every column equal to the first, bit
-    for bit, steps that (ny, 1) column alone, and so does FULL_RD's v
-    (see the module docstring).  The fields stay constant along x and
-    each step forms the 2-D step's numbers, so the run is the 2-D run
-    bit for bit.  Its snapshots, and the u and v it ends with, are copies
-    expanded to (ny, nx).
+    A rectangle run whose u0 (and FULL_RD's v0) has every column equal to
+    the first, bit for bit, steps that (ny, 1) column alone (_on_column;
+    see the module docstring).  The fields stay constant along x and each
+    step forms the 2-D step's numbers, so the run is the 2-D run bit for
+    bit.  Its snapshots, and the u and v it ends with, are widened to
+    (ny, nx).
     """
     p = config.params
     state = RunState.initial(config)
-    # FULL_RD's v0 is a constant, so its v is constant along x too
-    column = isinstance(config.grid, RectGrid) and _x_invariant(state.u)
-    ctx = _Ctx(config, column)
-    if column:
-        state.u = state.u[:, :1].copy()
-        if ctx.full_rd:
-            state.aux = state.aux[:, :1].copy()
+    ctx = _on_column(_Ctx(config), state)
     sup, low = _max(state.u), _min(state.u)
-
-    def full(u: np.ndarray) -> np.ndarray:
-        """The (ny, nx) field of a column run's u; u itself otherwise."""
-        return _widen(u, config.grid.shape) if column else u
-
+    shape = config.grid.shape
     series = TimeSeries()
     snapshots: dict[str, Field] = {}
     pending = sorted(config.snapshot_times)
@@ -699,12 +682,12 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
             last_sup, last_clock = sup, state.clock
         while pending and state.clock >= pending[0]:
             label = f"clock{float(pending.pop(0))!r}"
-            snapshots[label] = Field(config.grid, full(state.u))
+            snapshots[label] = Field(config.grid, _widen(state.u, shape))
     if state.clock != last_clock:
         sample(sup)
-    state.u = full(state.u)
+    state.u = _widen(state.u, shape)
     if ctx.full_rd:
-        state.aux = full(state.aux)
+        state.aux = _widen(state.aux, shape)
     snapshots["final"] = Field(config.grid, state.u)
 
     report = BlowUpReport(state.verdict)

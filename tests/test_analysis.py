@@ -26,7 +26,7 @@ from gmshadow import (
     threshold_integral,
 )
 from gmshadow import analysis
-from gmshadow.evolution import clock_coefficients
+from gmshadow.evolution import clock_coefficients, clock_end
 from gmshadow.initdata import spike_profile
 
 IDX = derive_indices(Parameters(p=3, q=2, r=1, s=2))  # gamma=2/3, omega=7/3
@@ -227,6 +227,58 @@ def test_oracle_stops_at_sigma_max_under_every_law(law):
     assert res.sigma[-1] == pytest.approx(4.0, rel=1e-12)
 
 
+# decaying means integrated up to the exp_growth horizon, where Phi grows
+# without bound: a half-step stage F + h/2 F' there overshoots zero, and its
+# F**omega is complex (omega = 7/3, 3/2) or of the wrong sign (omega = 2)
+HORIZON_CASES = [(GROWTH, IDX, 0.5, 50.0)] + [
+    (EvolutionLaw.exp_growth(0.37, 3), derive_indices(Parameters(*pqrs)), u0_mean, 3.0)
+    for pqrs, means in (((3, 2, 1, 2), (0.25, 0.5, 1.0)), ((2, 1, 1, 1), (0.25, 0.5, 1.0, 2.0)),
+                        ((3, 2, 1, 1), (0.25, 0.5)))
+    for u0_mean in means
+]
+
+
+@pytest.mark.parametrize("law, idx, u0_mean, sigma_max", HORIZON_CASES,
+                         ids=[f"beta{law.beta}-omega{idx.omega:.3g}-mean{m}"
+                              for law, idx, m, _ in HORIZON_CASES])
+def test_oracle_halves_a_step_whose_stage_is_negative(law, idx, u0_mean, sigma_max):
+    res = bernoulli_oracle(law, idx, u0_mean, dt=1e-3, sigma_max=sigma_max)
+    assert res.blowup_sigma is None
+    assert res.sigma[-1] == pytest.approx(clock_end(law, sigma_max, False), rel=1e-12)
+    assert res.values.dtype == np.float64
+    assert np.all(res.values > 0.0) and np.all(np.diff(res.values) <= 0.0)
+    assert res.values[-1] < 1e-13
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: threshold_integral(STATIC, IDX, math.nan),
+     "sigma_max must be a nonnegative number, got nan"),
+    (lambda: threshold_integral(GROWTH, IDX, math.nan),
+     "sigma_max must be a nonnegative number, got nan"),
+    (lambda: threshold_integral(DECAY, IDX, -1.0),
+     "sigma_max must be a nonnegative number, got -1.0"),
+    (lambda: threshold_integral(LOGISTIC, IDX, -1.0),
+     "sigma_max must be a nonnegative number, got -1.0"),
+    (lambda: mean_threshold(STATIC, IDX, -1.0),
+     "sigma_max must be a nonnegative number, got -1.0"),
+    (lambda: mean_threshold(GROWTH, IDX, math.nan),
+     "sigma_max must be a nonnegative number, got nan"),
+    (lambda: bernoulli_bound(STATIC, IDX, math.nan),
+     "u0_mean must be a finite nonnegative number, got nan"),
+    (lambda: bernoulli_bound(GROWTH, IDX, -1.0),
+     "u0_mean must be a finite nonnegative number, got -1.0"),
+    (lambda: bernoulli_bound(DECAY, IDX, math.inf),
+     "u0_mean must be a finite nonnegative number, got inf"),
+    (lambda: bernoulli_bound(STATIC, OMEGA_BELOW_1, math.nan),
+     "u0_mean must be a finite nonnegative number, got nan"),
+], ids=["integral_static_nan", "integral_growth_nan", "integral_decay_negative",
+        "integral_logistic_negative", "threshold_static_negative", "threshold_growth_nan",
+        "bound_mean_nan", "bound_mean_negative", "bound_mean_inf", "bound_omega_below_1_nan"])
+def test_closed_form_bounds_reject_what_the_oracle_rejects(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_moment_check_constant_fields():
     g = RectGrid(9, 9)
     p = Parameters(p=3, q=2, r=1, s=2)
@@ -289,6 +341,27 @@ def test_fit_rate_synthetic(expo):
 
 def test_fit_rate_degenerate():
     assert fit_rate(SeriesStub(np.linspace(0, 1, 50), np.full(50, 2.0)), 2.0) is None
+
+
+def test_fit_rate_is_none_when_every_usable_sample_has_one_sigma():
+    # four samples inside the window, all at one sigma: log(sigma* - sigma)
+    # has no spread to fit against
+    assert fit_rate(SeriesStub(np.full(4, 0.1), [200.0, 300.0, 400.0, 500.0]), 0.5) is None
+
+
+def test_linearized_root_widens_past_a_window_of_equal_sigma():
+    # the last 8 samples share one sigma, so the fit is taken over 32;
+    # sup^-2 = 0.5 - sigma is a line with its root at 0.5
+    sig = np.concatenate([np.linspace(0.0, 0.3, 24), np.full(8, 0.31)])
+    root, _ = analysis._linearized_root(sig, (0.5 - sig) ** -0.5, 3.0)
+    assert root == pytest.approx(0.5, rel=1e-12)
+
+
+def test_linearized_root_skips_a_fit_whose_root_is_behind_the_last_sample():
+    # sup^-2 = (1 - sigma)^6 is convex and falls, so each window's line
+    # crosses zero before its last sample, and no root is reported
+    sig = np.linspace(0.0, 0.999, 20)
+    assert analysis._linearized_root(sig, (1.0 - sig) ** -3.0, 3.0) is None
 
 
 def test_locate_blowup_peak_and_envelope():

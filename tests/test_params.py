@@ -68,8 +68,24 @@ TABLE1 = dict(p=3, q=2, r=1, s=2)
     (lambda: global_existence_condition(derive_indices(Parameters(**TABLE1)),
                                         Parameters(**TABLE1), 0),
      "dimension must be >= 1, got 0"),
+    (lambda: global_existence_condition(derive_indices(Parameters(**TABLE1)),
+                                        Parameters(**TABLE1), 2.5),
+     "dimension must be an integer, got 2.5"),
+    (lambda: global_existence_condition(derive_indices(Parameters(**TABLE1)),
+                                        Parameters(**TABLE1), math.nan),
+     "dimension must be an integer, got nan"),
+    (lambda: diffusion_blowup_condition(derive_indices(Parameters(**TABLE1)),
+                                        Parameters(**TABLE1), 2.5),
+     "dimension must be an integer >= 1, got 2.5"),
+    (lambda: diffusion_blowup_condition(derive_indices(Parameters(**TABLE1)),
+                                        Parameters(**TABLE1), math.nan),
+     "dimension must be an integer >= 1, got nan"),
+    (lambda: diffusion_blowup_condition(derive_indices(Parameters(**TABLE1)),
+                                        Parameters(**TABLE1), 0),
+     "dimension must be an integer >= 1, got 0"),
     (lambda: EvolutionLaw(LawKind.STATIC, dimension=4), "dimension must be 1, 2 or 3, got 4"),
-], ids=["s", "r", "q", "D1", "D2", "tau", "n_dim", "law_dim"])
+], ids=["s", "r", "q", "D1", "D2", "tau", "n_dim", "n_dim_fraction", "n_dim_nan",
+        "blowup_n_dim_fraction", "blowup_n_dim_nan", "blowup_n_dim_zero", "law_dim"])
 def test_range_checks_name_the_value(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()

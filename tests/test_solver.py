@@ -1270,6 +1270,30 @@ def test_copied_state_steps_on_bit_identically(cfg, copier):
     assert np.array_equal(twin.aux, state.aux)
 
 
+@pytest.mark.parametrize("copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("cfg", [STEP_COLUMN_CASES["nonlocal_sigma"], FULL_RD_COLUMN],
+                         ids=["nonlocal_sigma", "full_rd"])
+def test_copied_state_with_a_column_twin_steps_on_bit_identically(cfg, copier):
+    # the copy's context is rebuilt from the config alone, on the grid, and
+    # builds its own column twin on its first step
+    state = RunState.initial(cfg)
+    step(cfg, state)
+    assert state._ctx._column is not None
+    twin = copier(state)
+    ctx = twin._ctx
+    assert ctx._column is None and ctx.ur.shape == cfg.grid.shape
+    for _ in range(20):
+        step(cfg, state)
+        step(cfg, twin)
+    assert twin._ctx is ctx and ctx.column().ur.shape == (cfg.grid.ny, 1)
+    assert ctx.column().laplacian is not state._ctx.column().laplacian
+    assert (twin.steps, twin.clock, twin.dt_last) == (state.steps, state.clock, state.dt_last)
+    assert twin.steps == 21
+    assert twin.u.tobytes() == state.u.tobytes()
+    assert np.array_equal(twin.aux, state.aux)
+
+
 @pytest.mark.parametrize("name, value, message", [
     ("dt", -1.0, "dt must be positive, got -1.0"),
     ("dt_safety", 5.0, "dt_safety must be in (0, 1], got 5.0"),
