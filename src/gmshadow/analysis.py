@@ -131,9 +131,18 @@ def mean_threshold(
     law: EvolutionLaw, idx: DerivedIndices, sigma_max: float = math.inf
 ) -> float:
     """Initial-mean threshold ((omega-1) I)^(1/(1-omega)) above which the
-    Bernoulli comparison guarantees finite-time blow-up of the mean."""
-    I = threshold_integral(law, idx, sigma_max)
-    return ((idx.omega - 1.0) * I) ** (1.0 / (1.0 - idx.omega))
+    Bernoulli comparison guarantees finite-time blow-up of the mean; +inf
+    where I is 0, as at sigma_max = 0."""
+    return _threshold(idx.omega, threshold_integral(law, idx, sigma_max))
+
+
+def _threshold(omega: float, I: float) -> float:
+    """((omega-1) I)^(1/(1-omega)) for omega > 1: +inf, its limit, where
+    (omega-1) I is 0, and where the power overflows."""
+    try:
+        return ((omega - 1.0) * I) ** (1.0 / (1.0 - omega))
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
 
 
 def logistic_mean_threshold(
@@ -165,7 +174,7 @@ def bernoulli_bound(
     if w <= 1.0:
         return BoundReport(math.nan, math.nan, None, False)
     I = threshold_integral(law, idx)
-    thr = ((w - 1.0) * I) ** (1.0 / (1.0 - w))
+    thr = _threshold(w, I)
     ok = (0.0 < g < 1.0) and u0_mean > thr
     if not ok:
         return BoundReport(I, thr, None, False)

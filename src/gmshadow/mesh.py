@@ -430,8 +430,10 @@ def mean(f: Field, power: float = 1.0) -> float:
     the measure N*R^(N-1) dR.  Every weight set is normalised to sum to 1
     up to rounding.  The kernel is the grid's average_operator(), the
     solver's too, so a field's mean here equals the solver's mean of it
-    bit for bit.
+    bit for bit.  Raises ValueError unless power is finite.
     """
+    if not np.isfinite(power):
+        raise ValueError(f"power must be finite, got {power}")
     if power < 0.0 and np.any(f.values <= 0.0):
         raise ValueError("negative power requires strictly positive values")
     return f.grid.average_operator()(_fast_pow(f.values, power))

@@ -25,7 +25,7 @@ denom = (avg u^r)^gamma, eta^q or v^q.  The inhibitors reuse the same a.
 The rate is formed in the Laplacian's fresh output array, in that order,
 and a multiply by a coefficient d, a or b equal to 1.0 is skipped.  The
 sigma-clock families stop at evolution.clock_end.  Every weighted mean is
-_Ctx.average or mesh.mean, and both call the grid's average_operator():
+_Layout.average or mesh.mean, and both call the grid's average_operator():
 on the ball mesh._weighted_sum, BLAS dot products over blocks of at most
 8,192 entries summed left to right; on the rectangle one dot of ny entries
 with the normalised y-trapezoid weights for a float64 field constant
@@ -72,20 +72,20 @@ and FULL_RD's inhibitor solve is pointwise, the stencil's x-term
 ((u - 2u) + u)/hx^2 is the same at every node of a row, the mean of an
 x-invariant field is its column's, and the solve of an x-invariant v is
 its column's solve, widened.  So the column steps through the same _step,
-with the column stencil RectGrid.column_laplacian_operator (the 2-D
-stencil's y-term plus +0.0, the 2-D x-term being +0.0 on a finite column,
-so its result bit for bit on every state a step reaches the stencil
-with), FULL_RD's column solve RectGrid.column_resolvent_operator and a
-column workspace.  Every step, dt, sample and verdict is then the 2-D
-run's bit for bit, at a sixth to a seventh of the cost per step on
-128x128, and a tenth for FULL_RD (2-vCPU host).  mesh._widen writes a
-column into a fresh (ny, nx) array: the new u (and v) of a step() call,
-advance()'s snapshots and the state a run ends with.  Any other array a
-caller passes, and every rhs() call, takes the whole grid.  On one CPU of
-a 2-vCPU host a step() call costs about 39 us on exp1's x-invariant
-128x128 datum, against about 220 us for a whole-grid step, and 27-28 us
-on shadow_step's 49x49 sigma-clock states, whose column _step is
-16-17 us.
+with the column layout: the column stencil
+RectGrid.column_laplacian_operator (the 2-D stencil's y-term plus +0.0,
+the 2-D x-term being +0.0 on a finite column, so its result bit for bit on
+every state a step reaches the stencil with), FULL_RD's column solve
+RectGrid.column_resolvent_operator and a column workspace.  Every step,
+dt, sample and verdict is then the 2-D run's bit for bit, at a sixth to a
+seventh of the cost per step on 128x128, and a tenth for FULL_RD (2-vCPU
+host).  mesh._widen writes a column into a fresh (ny, nx) array: the new u
+(and v) of a step() call, advance()'s snapshots and the state a run ends
+with.  Any other array a caller passes, and every rhs() call, takes the
+whole grid.  On one CPU of a 2-vCPU host a step() call costs about 39 us
+on exp1's x-invariant 128x128 datum, against about 220 us for a whole-grid
+step, and 27-28 us on shadow_step's 49x49 sigma-clock states, whose column
+_step is 16-17 us.
 
 _step alone decides a run's verdict and ends it at the terminal clock,
 which advance() samples last; the report takes that verdict and, for
@@ -93,31 +93,32 @@ BlowUp and Quench, the event times from that sample, and analysis only
 refines a BlowUp.
 
 The per-run machinery lives in a _Ctx: indices, the grid's average,
-Laplacian, inhibitor solve, coefficient exponent and clock end, the family
-flags, and what the config fixes.  rho^2 is 1 in the sigma clock and under
-the static law, and worked out once per step otherwise.  (a, b) comes
-from evolution._clock_pair, built once per context, as the Bernoulli
-oracle builds it: fixed under the static law and, in t, under an
-exponential law (L = 1 + N r); in the sigma clock, where an evolving law
-is exponential, (L, L**e)/(1 - 2 r sigma) with L**e worked out, so a step
-does two divides instead of two reaction_coeff calls, to the same bits;
-under the logistic law clock_coefficients on every step.  rhs() still
-checks its clock against the exp_growth horizon.
-The context also holds the step workspace: the mean's power of u (u^r in
-a step), u^p, a*u, and the Laplacian's own buffers (the rectangle's ghost
-frame, the ball's zero-padded fluxes), all overwritten by every step.
-Every family forms u^r before u^p (the mean, or FULL_RD's kinetics), so
-with r = 2 and p = 4 the step squares that u^2 for u^4, the product
-fast_pow would form.  A context is always built for the whole grid; its
-column twin (_Ctx.column), for x-invariant states, is built once on that
-same validated context.  advance() builds one context per run; step()
+coefficient exponent and clock end, the family flags, and what the config
+fixes.  rho^2 is 1 in the sigma clock and under the static law, and worked
+out once per step otherwise.  (a, b) comes from evolution._clock_pair,
+built once per context, as the Bernoulli oracle builds it: fixed under the
+static law and, in t, under an exponential law (L = 1 + N r); in the sigma
+clock, where an evolving law is exponential, (L, L**e)/(1 - 2 r sigma)
+with L**e worked out, so a step does two divides instead of two
+reaction_coeff calls, to the same bits; under the logistic law
+clock_coefficients on every step.  rhs() still checks its clock against the
+exp_growth horizon.  What is bound to the shape of the arrays a step takes
+is a _Layout: the Laplacian, FULL_RD's inhibitor solve and the step
+workspace, which holds the mean's power of u (u^r in a step), u^p, a*u,
+and the Laplacian's own buffers (the rectangle's ghost frame, the ball's
+zero-padded fluxes), all overwritten by every step.  Every family forms u^r
+before u^p (the mean, or FULL_RD's kinetics), so with r = 2 and p = 4 the
+step squares that u^2 for u^4, the product fast_pow would form.
+_Ctx.layout builds a layout, the whole grid's or the column's, the first
+time _on_column or rhs() asks for that shape, and keeps it on the context,
+so a run builds only the layouts it steps: every config-driven rectangle
+run, the column's alone.  advance() builds one context per run; step()
 keeps one on the RunState and rebuilds it only when the config no longer
 equals the snapshot the context was built from, so an in-place edit of a
-RunConfig between calls takes effect, and each build re-runs the
-config's validation.
-Because of the workspace, use one RunState per thread: copy.copy(state)
-shares the context, while copy.deepcopy and pickle rebuild it from its
-config.
+RunConfig between calls takes effect, and each build re-runs the config's
+validation.  Because of the workspace, use one RunState per thread:
+copy.copy(state) shares the context, while copy.deepcopy and pickle
+rebuild it from its config, without a layout until the copy steps.
 """
 
 from __future__ import annotations
@@ -311,17 +312,15 @@ class RunState:
 
 
 class _Ctx:
-    """Per-run machinery and the step workspace: the grid's average,
-    Laplacian, inhibitor solve, coefficient exponent, clock end, what the
-    config fixes of rho^2, the family's (a, b) as a function of the clock
-    (coefficients, fixed or built once where the law allows), and the
-    preallocated per-step temporaries.
+    """The shape-free per-run machinery: what the config fixes (a validated
+    snapshot), the indices, the grid's average, the family flags, the
+    coefficient exponent and clock end, what the config fixes of rho^2
+    and h^2, and the family's (a, b) as a function of the clock
+    (coefficients, fixed or built once where the law allows).
 
-    A column context steps the (ny, 1) column of a rectangle field constant
-    along x: its Laplacian, inhibitor solve and workspace are column-shaped,
-    and it shares the grid's average, which takes a column too.  column()
-    gives a grid context's column twin, built once on the same validated
-    config."""
+    The shape-bound part, a _Layout, is built by layout() the first time a
+    step or rhs() asks for arrays of that shape, the whole grid's or the
+    (ny, 1) column's, and kept."""
 
     def __init__(self, config: RunConfig):
         # a shallow snapshot: it re-runs RunConfig's validation, and step()
@@ -344,34 +343,19 @@ class _Ctx:
         # fast_pow forms u^4 as (u^2)^2, so with r = 2 the u^r that every
         # step forms for the mean or FULL_RD's kinetics is u^4's factor
         self.up_from_ur = p.r == 2.0 and p.p == 4.0
-        # the shape-bound part, which column() replaces: Laplacian,
-        # inhibitor solve and workspace
-        self.laplacian = g.laplacian_operator()
-        if self.full_rd:
-            # (I - nu*Lap)^-1, exact in the grid's cosine basis
-            self.diffuse_inhibitor = g.resolvent_operator()
-        # the workspace, overwritten by every step: the mean's power of u
-        # (u^r in a step), u^p, and a*u (then b*u^p/denom when u^p is u)
-        self.ur, self.up, self.scratch = np.empty((3, *g.shape))
-        self._column = None
+        self._layouts: dict[tuple[int, ...], _Layout] = {}
 
     def __reduce__(self):
-        # the operators are closures; a copy rebuilds them with its own buffers
+        # the operators are closures; a copy builds its own layouts, with
+        # their own buffers, when it first steps
         return (_Ctx, (self.cfg,))
 
-    def column(self) -> _Ctx:
-        """This grid context's column twin, built on first use and kept:
-        the same config, average and coefficients, with a column Laplacian,
-        inhibitor solve and workspace (and itself as its column())."""
-        if self._column is None:
-            twin = self._column = object.__new__(_Ctx)
-            twin.__dict__.update(self.__dict__)
-            g = self.cfg.grid
-            twin.laplacian = g.column_laplacian_operator()
-            if self.full_rd:
-                twin.diffuse_inhibitor = g.column_resolvent_operator()
-            twin.ur, twin.up, twin.scratch = np.empty((3, g.ny, 1))
-        return self._column
+    def layout(self, shape: tuple[int, ...]) -> _Layout:
+        """The layout for arrays of `shape`, the grid's or the (ny, 1)
+        column's: built on first use and kept."""
+        if shape not in self._layouts:
+            self._layouts[shape] = _Layout(self, shape)
+        return self._layouts[shape]
 
     def rho_squared(self, clock: float) -> float:
         """rho(clock)^2 for the t-clock families; 1 for the sigma-clock ones,
@@ -379,6 +363,25 @@ class _Ctx:
         if self.rho2 is not None:
             return self.rho2
         return scale_factor(self.cfg.law, clock) ** 2
+
+
+class _Layout:
+    """A context's shape-bound part, for the whole grid or for the (ny, 1)
+    column of a rectangle field constant along x: the Laplacian, FULL_RD's
+    inhibitor solve (I - nu*Lap)^-1, exact in the grid's cosine basis, and
+    the workspace, overwritten by every step: the mean's power of u (u^r in
+    a step), u^p, and a*u (then b*u^p/denom when u^p is u).  The grid's
+    average takes a column too, so both layouts share it."""
+
+    def __init__(self, ctx: _Ctx, shape: tuple[int, ...]):
+        g = ctx.cfg.grid
+        grid = shape == g.shape
+        self.laplacian = g.laplacian_operator() if grid else g.column_laplacian_operator()
+        if ctx.full_rd:
+            self.diffuse_inhibitor = (g.resolvent_operator() if grid
+                                      else g.column_resolvent_operator())
+        self.quadrature = ctx.quadrature
+        self.ur, self.up, self.scratch = np.empty((3, *shape))
 
     def average(self, u: np.ndarray, power: float) -> float:
         """The quadrature average of u^power by mesh.mean's kernel, so equal
@@ -418,9 +421,8 @@ def rhs(
         # the public pair rejects a sigma at or beyond the exp_growth
         # horizon; the context's takes the clock unchecked
         clock_coefficients(config.law, clock, ctx.e, False)
-    du, daux, _ = _rhs_arrays(
-        ctx, u.values, aux, clock, _min(u.values), ctx.rho_squared(clock)
-    )
+    du, daux, _ = _rhs_arrays(ctx, ctx.layout(u.values.shape), u.values, aux, clock,
+                              _min(u.values), ctx.rho_squared(clock))
     return Field(u.grid, du), daux
 
 
@@ -448,12 +450,12 @@ def _check_state(cfg: RunConfig, u: np.ndarray, aux, clock: float) -> None:
         raise ValueError(f"{kind.value} needs {want}, got {got}")
 
 
-def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
+def _rhs_arrays(ctx: _Ctx, lay: _Layout, u, aux, clock, low: float, rho2: float):
     """Rates of the family at u, whose minimum `low` and the clock's
     ctx.rho_squared `rho2` the caller supplies, and the minimum of
     FULL_RD's v (None for the other families).  The activator's
-    temporaries are in ctx's workspace, and its rate is the Laplacian's
-    fresh output; FULL_RD's daux is a fresh array."""
+    temporaries are in the workspace of lay, u's layout, and its rate is
+    the Laplacian's fresh output; FULL_RD's daux is a fresh array."""
     p = ctx.cfg.params
     v_low = None
     # written so that a NaN minimum fails too
@@ -467,7 +469,7 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
         if not eta > POSITIVITY_FLOOR:
             raise NonPositiveStateError(f"inhibitor eta nonpositive: {eta}")
         denom = eta**p.q
-        daux = (-a * eta + b * ctx.nonlocal_mean(u, p.r) / eta**p.s) / p.tau
+        daux = (-a * eta + b * lay.nonlocal_mean(u, p.r) / eta**p.s) / p.tau
     elif ctx.full_rd:
         v = aux
         v_low = _min(v)
@@ -475,23 +477,23 @@ def _rhs_arrays(ctx: _Ctx, u, aux, clock, low: float, rho2: float):
             raise NonPositiveStateError("inhibitor v nonpositive")
         denom = fast_pow(v, p.q)
         vs = denom if p.s == p.q else fast_pow(v, p.s)
-        daux = (-a * v + fast_pow(u, p.r, ctx.ur) / vs) / p.tau
+        daux = (-a * v + fast_pow(u, p.r, lay.ur) / vs) / p.tau
     else:
-        denom = ctx.nonlocal_mean(u, p.r) ** ctx.idx.gamma
+        denom = lay.nonlocal_mean(u, p.r) ** ctx.idx.gamma
         daux = None
     # formed in the Laplacian's fresh output in the order of
     # ((d*Lap u) - a*u) + ((b*u^p)/denom), skipping the exact identity x*1.0;
     # u^p is u itself when p = 1, so it is never scaled in place
-    du = ctx.laplacian(u)
+    du = lay.laplacian(u)
     d = p.D1 / rho2
     if d != 1.0:
         du *= d
-    du -= u if a == 1.0 else np.multiply(u, a, out=ctx.scratch)
+    du -= u if a == 1.0 else np.multiply(u, a, out=lay.scratch)
     if ctx.up_from_ur:
-        up = np.multiply(ctx.ur, ctx.ur, out=ctx.up)
+        up = np.multiply(lay.ur, lay.ur, out=lay.up)
     else:
-        up = fast_pow(u, p.p, ctx.up)
-    out = ctx.scratch if up is u else up
+        up = fast_pow(u, p.p, lay.up)
+    out = lay.scratch if up is u else up
     if b != 1.0:
         up = np.multiply(up, b, out=out)
     du += np.divide(up, denom, out=out)
@@ -540,8 +542,7 @@ def step(config: RunConfig, state: RunState) -> RunState:
         ctx = state._ctx = _Ctx(config)
     u, aux, steps = state.u, state.aux, state.steps
     _check_state(ctx.cfg, u, aux, state.clock)
-    ctx = _on_column(ctx, state)
-    _step(ctx, state, _max(state.u), _min(state.u))
+    _step(ctx, _on_column(ctx, state), state, _max(state.u), _min(state.u))
     if state.steps == steps:
         # ended before the update: the caller's arrays stay
         state.u, state.aux = u, aux
@@ -552,23 +553,23 @@ def step(config: RunConfig, state: RunState) -> RunState:
     return state
 
 
-def _on_column(ctx: _Ctx, state: RunState) -> _Ctx:
-    """The context that steps `state`: ctx.column(), with state.u (and
-    FULL_RD's v) cut to a fresh copy of its (ny, 1) column, when the grid is
-    a rectangle and u (and v) pass _x_invariant; ctx, and the state as it
-    is, otherwise."""
-    if not (isinstance(ctx.cfg.grid, RectGrid) and _x_invariant(state.u)
+def _on_column(ctx: _Ctx, state: RunState) -> _Layout:
+    """The layout that steps `state`, from ctx.layout(): the column's, with
+    state.u (and FULL_RD's v) cut to a fresh copy of its (ny, 1) column,
+    when the grid is a rectangle and u (and v) pass _x_invariant; the
+    grid's, and the state as it is, otherwise."""
+    if (isinstance(ctx.cfg.grid, RectGrid) and _x_invariant(state.u)
             and (not ctx.full_rd or _x_invariant(state.aux))):
-        return ctx
-    state.u = state.u[:, :1].copy()
-    if ctx.full_rd:
-        state.aux = state.aux[:, :1].copy()
-    return ctx.column()
+        state.u = state.u[:, :1].copy()
+        if ctx.full_rd:
+            state.aux = state.aux[:, :1].copy()
+    return ctx.layout(state.u.shape)
 
 
-def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, float]:
-    """step() on the maximum `sup` and minimum `low` of state.u; returns the
-    same pair for state.u as it leaves it."""
+def _step(ctx: _Ctx, lay: _Layout, state: RunState, sup: float,
+          low: float) -> tuple[float, float]:
+    """step() on the maximum `sup` and minimum `low` of state.u, whose
+    layout is lay; returns the same pair for state.u as it leaves it."""
     cfg = ctx.cfg
     u, aux, clock = state.u, state.aux, state.clock
     if not math.isfinite(sup):
@@ -586,7 +587,7 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
         return sup, low
     rho2 = ctx.rho_squared(clock)
     try:
-        du, daux, v_low = _rhs_arrays(ctx, u, aux, clock, low, rho2)
+        du, daux, v_low = _rhs_arrays(ctx, lay, u, aux, clock, low, rho2)
     except NonPositiveStateError:
         state.verdict = Verdict.NON_FINITE
         return sup, low
@@ -615,7 +616,7 @@ def _step(ctx: _Ctx, state: RunState, sup: float, low: float) -> tuple[float, fl
         # aux + dt*daux, formed in daux's fresh buffer
         daux *= dt
         daux += aux
-        aux_new = ctx.diffuse_inhibitor(daux, nu)
+        aux_new = lay.diffuse_inhibitor(daux, nu)
     else:
         aux_new = None
     state.u = u_new
@@ -642,7 +643,8 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     Samples diagnostics every sample_stride steps, whenever the sup norm has
     grown by 5% since the last sample (so the blow-up tail is resolved), and
     at termination.  Snapshots hold state.u itself, which no later step
-    writes, at the first state reaching each requested time and at the end.
+    writes, at the first state reaching each requested time, the start
+    state included, and at the end.
     The report's verdict is _step's; a BlowUp or Quench is reported by
     analysis._event_report at the last sample, the terminal clock.
 
@@ -655,7 +657,8 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     """
     p = config.params
     state = RunState.initial(config)
-    ctx = _on_column(_Ctx(config), state)
+    ctx = _Ctx(config)
+    lay = _on_column(ctx, state)
     sup, low = _max(state.u), _min(state.u)
     shape = config.grid.shape
     series = TimeSeries()
@@ -665,24 +668,25 @@ def advance(config: RunConfig) -> tuple[TimeSeries, BlowUpReport, dict[str, Fiel
     def sample(sup: float) -> None:
         t, sigma = _clocks(config, state.clock)
         u = state.u
-        mu = ctx.average(u, 1.0)
-        zeta = ctx.average(u, p.r)
-        wmom = ctx.average(u, p.r + 1.0 - p.p)
+        mu = lay.average(u, 1.0)
+        zeta = lay.average(u, p.r)
+        wmom = lay.average(u, p.r + 1.0 - p.p)
         a = math.nan if state.aux is None else float(np.max(state.aux))
         series.append(t, sigma, sup, mu, zeta, wmom, a)
 
     sample(sup)
     last_sup, last_clock = sup, state.clock
     while state.verdict is None:
-        sup, low = _step(ctx, state, sup, low)
-        if state.verdict is not None:
-            break
-        if state.steps % config.sample_stride == 0 or sup >= 1.05 * last_sup:
-            sample(sup)
-            last_sup, last_clock = sup, state.clock
+        # the snapshots due at the state a step is about to leave, so a
+        # time at the start clock holds u0
         while pending and state.clock >= pending[0]:
             label = f"clock{float(pending.pop(0))!r}"
             snapshots[label] = Field(config.grid, _widen(state.u, shape))
+        sup, low = _step(ctx, lay, state, sup, low)
+        if state.verdict is None and (
+                state.steps % config.sample_stride == 0 or sup >= 1.05 * last_sup):
+            sample(sup)
+            last_sup, last_clock = sup, state.clock
     if state.clock != last_clock:
         sample(sup)
     state.u = _widen(state.u, shape)

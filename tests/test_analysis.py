@@ -82,6 +82,24 @@ def test_threshold_monotone_in_law():
     assert mean_threshold(DECAY, IDX) < mean_threshold(STATIC, IDX) < mean_threshold(GROWTH, IDX)
 
 
+@pytest.mark.parametrize("law", [STATIC, DECAY, GROWTH, EvolutionLaw.logistic(0.1, 1.5, 2)],
+                         ids=["static", "exp_decay", "exp_growth", "logistic"])
+def test_mean_threshold_at_a_zero_horizon_is_infinite(law):
+    assert threshold_integral(law, IDX, 0.0) == 0.0
+    assert mean_threshold(law, IDX, 0.0) == math.inf
+    assert bernoulli_bound(law, IDX, 2.0).mean_threshold == mean_threshold(law, IDX)
+
+
+def test_mean_threshold_is_infinite_where_the_integral_or_the_power_leaves_float_range():
+    # at sigma_max = 1e-300 the static integral rounds to 0; near omega = 1
+    # a tiny nonzero integral's power overflows
+    assert threshold_integral(STATIC, IDX, 1e-300) == 0.0
+    assert mean_threshold(STATIC, IDX, 1e-300) == math.inf
+    near_one = derive_indices(Parameters(p=2.05, q=1, r=1, s=0))
+    assert 0.0 < threshold_integral(STATIC, near_one, 3e-15) < 1e-14
+    assert mean_threshold(STATIC, near_one, 3e-15) == math.inf
+
+
 def test_logistic_threshold():
     # beta -> 0 collapses to the static threshold 1
     assert logistic_mean_threshold(IDX, 1e-8, 1.5, 2) == pytest.approx(1.0, abs=1e-6)

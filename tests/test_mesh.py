@@ -473,6 +473,13 @@ def test_mean_rejects_negative_power_on_nonpositive():
         mean(Field(g, vals), -1.0)
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf], ids=str)
+def test_mean_rejects_a_non_finite_power(power):
+    g = RadialGrid(3, 33)
+    with pytest.raises(ValueError, match=f"^power must be finite, got {power}$"):
+        mean(Field(g, np.full(g.shape, 2.0)), power)
+
+
 def test_cauchy_schwarz_moments():
     # mean(f,r)^2 <= mean(f,p-1+r) * mean(f,r+1-p) for positive fields
     rng = np.random.default_rng(123)

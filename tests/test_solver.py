@@ -532,18 +532,21 @@ def test_internal_stencil_matches_mesh_laplacians():
     rng = np.random.default_rng(9)
     cfg = small_cfg(grid=RectGrid(14, 11))
     u = rng.uniform(0.5, 2.0, cfg.grid.shape)
-    assert np.array_equal(_Ctx(cfg).laplacian(u), laplacian_rect(Field(cfg.grid, u)).values)
+    lap = _Ctx(cfg).layout(u.shape).laplacian
+    assert np.array_equal(lap(u), laplacian_rect(Field(cfg.grid, u)).values)
     gr = RadialGrid(3, 41)
     cfgr = small_cfg(system=SystemKind.NONLOCAL_T, law=EvolutionLaw.static(3), grid=gr,
                      init=InitSpec(InitKind.SPIKY, delta=0.5, lam=1.0),
                      params=Parameters(p=4, q=4, r=2, s=1))
     ur = rng.uniform(0.5, 2.0, gr.shape)
-    assert np.array_equal(_Ctx(cfgr).laplacian(ur), laplacian_radial(Field(gr, ur)).values)
+    lap = _Ctx(cfgr).layout(ur.shape).laplacian
+    assert np.array_equal(lap(ur), laplacian_radial(Field(gr, ur)).values)
     grd = RadialGrid(3, 41, outer_bc="dirichlet")
     cfgd = small_cfg(system=SystemKind.NONLOCAL_T, law=EvolutionLaw.static(3), grid=grd,
                      init=InitSpec(InitKind.SPIKY, delta=0.5, lam=1.0),
                      params=Parameters(p=4, q=4, r=2, s=1))
-    assert np.array_equal(_Ctx(cfgd).laplacian(ur), laplacian_radial(Field(grd, ur)).values)
+    lap = _Ctx(cfgd).layout(ur.shape).laplacian
+    assert np.array_equal(lap(ur), laplacian_radial(Field(grd, ur)).values)
 
 
 def test_config_rejects_nan():
@@ -813,6 +816,18 @@ def test_advance_snapshots_match_the_step_loop_at_their_steps(cfg):
     assert snaps["final"].values.tobytes() == state.u.tobytes()
 
 
+@pytest.mark.parametrize("cfg", [
+    small_cfg(system=SystemKind.NONLOCAL_T, grid=RectGrid(9, 7), law=DECAY,
+              init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.01,
+              snapshot_times=(0.0,)),
+    small_cfg(law=EvolutionLaw.static(3), grid=RadialGrid(3, 33, outer_bc="dirichlet"),
+              init=SPIKE, end_time=0.01, quench_threshold=1e-6, snapshot_times=(0.0,)),
+], ids=["rect_column", "ball_dirichlet"])
+def test_advance_snapshot_at_the_start_clock_is_u0(cfg):
+    _, _, snaps = advance(cfg)
+    assert snaps["clock0.0"].values.tobytes() == RunState.initial(cfg).u.tobytes()
+
+
 def _one_tall_node(shape, low, high):
     u = np.full(shape, low)
     u[shape[0] // 2, shape[1] // 2] = high
@@ -834,10 +849,11 @@ def test_step_carries_the_max_and_a_positive_lower_bound_on_the_min(cfg, u0):
     # _step driven as advance() drives it, from u0: it returns the exact
     # extremes of the u it leaves, the next step's sup and low
     ctx = solver._Ctx(cfg)
+    lay = ctx.layout(u0.shape)
     state = RunState(u=u0.copy(), aux=None, clock=0.0)
     sup, low = float(u0.max()), float(u0.min())
     while state.verdict is None:
-        sup, low = solver._step(ctx, state, sup, low)
+        sup, low = solver._step(ctx, lay, state, sup, low)
         assert sup == state.u.max()
         assert low == state.u.min() > 0.0
     assert state.verdict is not Verdict.NON_FINITE
@@ -1034,9 +1050,8 @@ def test_step_widens_its_column_into_fresh_writable_arrays(cfg):
     held = [(x, x.copy()) for x in fields()]
     for _ in range(3):
         step(cfg, state)
-        ctx = state._ctx
-        workspace = [ctx.ur, ctx.up, ctx.scratch]
-        workspace += [ctx.column().ur, ctx.column().up, ctx.column().scratch]
+        lay = state._ctx.layout((cfg.grid.ny, 1))
+        workspace = [lay.ur, lay.up, lay.scratch]
         for x in fields():
             assert x.shape == cfg.grid.shape and x.dtype == np.float64
             assert x.flags.writeable and x.flags.c_contiguous and x.flags.owndata
@@ -1259,11 +1274,13 @@ def test_copied_state_steps_on_bit_identically(cfg, copier):
         step(cfg, state)
     twin = copier(state)
     ctx = twin._ctx
-    assert ctx is not None and ctx.laplacian is not state._ctx.laplacian
+    assert ctx is not None and ctx is not state._ctx
     for _ in range(20):
         step(cfg, state)
         step(cfg, twin)
     assert twin._ctx is ctx
+    column = (cfg.grid.ny, 1)
+    assert ctx.layout(column).laplacian is not state._ctx.layout(column).laplacian
     assert twin.steps == state.steps == 25
     assert twin.clock == state.clock
     assert np.array_equal(twin.u, state.u)
@@ -1275,23 +1292,94 @@ def test_copied_state_steps_on_bit_identically(cfg, copier):
 @pytest.mark.parametrize("cfg", [STEP_COLUMN_CASES["nonlocal_sigma"], FULL_RD_COLUMN],
                          ids=["nonlocal_sigma", "full_rd"])
 def test_copied_state_with_a_column_twin_steps_on_bit_identically(cfg, copier):
-    # the copy's context is rebuilt from the config alone, on the grid, and
-    # builds its own column twin on its first step
+    # the copy's context is rebuilt from the config alone and builds its
+    # own column layout when it first steps
     state = RunState.initial(cfg)
     step(cfg, state)
-    assert state._ctx._column is not None
     twin = copier(state)
     ctx = twin._ctx
-    assert ctx._column is None and ctx.ur.shape == cfg.grid.shape
     for _ in range(20):
         step(cfg, state)
         step(cfg, twin)
-    assert twin._ctx is ctx and ctx.column().ur.shape == (cfg.grid.ny, 1)
-    assert ctx.column().laplacian is not state._ctx.column().laplacian
+    column = (cfg.grid.ny, 1)
+    assert twin._ctx is ctx
+    assert ctx.layout(column).laplacian is not state._ctx.layout(column).laplacian
     assert (twin.steps, twin.clock, twin.dt_last) == (state.steps, state.clock, state.dt_last)
     assert twin.steps == 21
     assert twin.u.tobytes() == state.u.tobytes()
     assert np.array_equal(twin.aux, state.aux)
+
+
+def _count_builds(monkeypatch):
+    """Builds of the rectangle's grid and column operators, by builder name."""
+    builds = collections.Counter()
+    for name in ("laplacian_operator", "column_laplacian_operator",
+                 "resolvent_operator", "column_resolvent_operator"):
+        def build(self, original=getattr(RectGrid, name), name=name):
+            builds[name] += 1
+            return original(self)
+        monkeypatch.setattr(RectGrid, name, build)
+    return builds
+
+
+def _layout_builds(cfg, *, column):
+    """The builds of one layout of cfg: its Laplacian and FULL_RD's solve."""
+    prefix = "column_" if column else ""
+    names = ["laplacian_operator"]
+    if cfg.system is SystemKind.FULL_RD:
+        names.append("resolvent_operator")
+    return {prefix + name: 1 for name in names}
+
+
+@pytest.mark.parametrize("family, nudge", [
+    ("nonlocal_t", False), ("nonlocal_sigma", False), ("shadow_tau", False),
+    ("full_rd", False), ("full_rd", True),
+], ids=["nonlocal_t", "nonlocal_sigma", "shadow_tau", "full_rd", "full_rd_x_dependent_u0"])
+def test_advance_builds_only_the_layout_it_steps_once(family, nudge, monkeypatch):
+    cfg = STEP_COLUMN_CASES[family]
+    if nudge:
+        monkeypatch.setattr(solver, "build_initial", _nudged_initial)
+    builds = _count_builds(monkeypatch)
+    advance(cfg)
+    assert dict(builds) == _layout_builds(cfg, column=not nudge)
+
+
+@pytest.mark.parametrize("cfg", [STEP_COLUMN_CASES["nonlocal_sigma"], FULL_RD_COLUMN],
+                         ids=["nonlocal_sigma", "full_rd"])
+def test_step_builds_each_layout_once_per_context(cfg, monkeypatch):
+    state = RunState.initial(cfg)
+    builds = _count_builds(monkeypatch)
+    column = _layout_builds(cfg, column=True)
+    both = {**column, **_layout_builds(cfg, column=False)}
+
+    def three_steps(x_invariant):
+        for _ in range(3):
+            step(cfg, state)
+        assert mesh._x_invariant(state.u) is x_invariant
+
+    three_steps(True)
+    assert dict(builds) == column
+    state.u[cfg.grid.ny // 2, -1] += 1e-3
+    three_steps(False)
+    assert dict(builds) == both
+    # back to x-invariance: u (and v) widened from their first column
+    state.u = mesh._widen(state.u[:, :1].copy(), cfg.grid.shape)
+    if cfg.system is SystemKind.FULL_RD:
+        state.aux = mesh._widen(state.aux[:, :1].copy(), cfg.grid.shape)
+    three_steps(True)
+    assert dict(builds) == both
+
+
+@pytest.mark.parametrize("copier", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_copied_state_builds_nothing_until_it_steps(copier, monkeypatch):
+    state = RunState.initial(FULL_RD_COLUMN)
+    step(FULL_RD_COLUMN, state)
+    builds = _count_builds(monkeypatch)
+    twin = copier(state)
+    assert not builds
+    step(FULL_RD_COLUMN, twin)
+    assert dict(builds) == _layout_builds(FULL_RD_COLUMN, column=True)
 
 
 @pytest.mark.parametrize("name, value, message", [
@@ -1394,9 +1482,9 @@ cfg = cli.PRESETS["exp1"]()["static"]
 u0 = build_initial(cfg.init, cfg.grid, p=cfg.params.p)
 rng = np.random.default_rng(15)
 x_invariant = np.broadcast_to(rng.uniform(0.5, 3.0, (128, 1)), (128, 128)).copy()
-ctx = solver._Ctx(cfg)
+lay = solver._Ctx(cfg).layout(cfg.grid.shape)
 for u in (u0.values, x_invariant, rng.uniform(0.5, 3.0, (128, 128))):
-    print([repr(ctx.average(u, e)) for e in (1.0, 3.0, -1.0)])
+    print([repr(lay.average(u, e)) for e in (1.0, 3.0, -1.0)])
     print([repr(mesh.mean(mesh.Field(cfg.grid, u), e)) for e in (1.0, 3.0, -1.0)])
 """
 
@@ -1448,10 +1536,10 @@ def test_average_is_one_dot_product_up_to_the_block_size(grid):
     cfg = small_cfg(grid=grid, law=EvolutionLaw.static(2 if isinstance(grid, RectGrid) else 3))
     u = np.random.default_rng(10).uniform(0.5, 3.0, grid.shape)
     w = grid.quad_weights().ravel()
-    ctx = solver._Ctx(cfg)
+    lay = solver._Ctx(cfg).layout(grid.shape)
     for e in (1.0, 3.0, -1.0, 1.4):
         dot = float(np.dot(w, fast_pow(u, e).ravel()))
-        assert ctx.average(u, e) == dot
+        assert lay.average(u, e) == dot
         assert mesh.mean(Field(grid, u), e) == dot
 
 
@@ -1461,7 +1549,7 @@ MEAN_POWERS = (0.5, 1.0, 1.4, 2.0, 3.0, 4.0)
 @pytest.mark.parametrize("grid", [RectGrid(128, 128), RectGrid(49, 49), RectGrid(33, 20)],
                          ids=str)
 def test_an_x_invariant_field_is_averaged_on_its_column(grid):
-    # mesh.mean and the grid and column contexts' averages are all the one
+    # mesh.mean and the grid and column layouts' averages are all the one
     # dot of the column with the normalised y-trapezoid weights
     cfg = small_cfg(grid=grid)
     column = np.random.default_rng(12).uniform(0.5, 3.0, grid.ny)
@@ -1472,8 +1560,8 @@ def test_an_x_invariant_field_is_averaged_on_its_column(grid):
     for e in MEAN_POWERS:
         dot = float(np.dot(wy, fast_pow(column, e)))
         assert mesh.mean(Field(grid, u), e) == dot
-        assert ctx.average(u, e) == dot
-        assert ctx.column().average(u[:, :1].copy(), e) == dot
+        assert ctx.layout(grid.shape).average(u, e) == dot
+        assert ctx.layout((grid.ny, 1)).average(u[:, :1].copy(), e) == dot
 
 
 @pytest.mark.parametrize("grid", [RectGrid(128, 128), RectGrid(33, 20)], ids=str)
@@ -1482,7 +1570,7 @@ def test_a_field_one_ulp_off_x_invariance_is_the_blocked_weighted_sum(grid):
     column = np.random.default_rng(13).uniform(0.5, 3.0, grid.ny)
     u = _nudged(np.broadcast_to(column[:, None], grid.shape).copy())
     w = grid.quad_weights().ravel()
-    ctx = solver._Ctx(cfg)
+    lay = solver._Ctx(cfg).layout(grid.shape)
     off = [e for e in MEAN_POWERS if not mesh._x_invariant(fast_pow(u, e))]
     # a power can round the ulp away (u^0.5 does here), and then the field
     # it averages is x-invariant again
@@ -1490,7 +1578,7 @@ def test_a_field_one_ulp_off_x_invariance_is_the_blocked_weighted_sum(grid):
     for e in off:
         total = mesh._weighted_sum(w, fast_pow(u, e).ravel())
         assert mesh.mean(Field(grid, u), e) == total
-        assert ctx.average(u, e) == total
+        assert lay.average(u, e) == total
 
 
 def _preset_initial_fields():
@@ -1507,7 +1595,7 @@ def _preset_initial_fields():
 @pytest.mark.parametrize("e", [0.5, 1.0, 1.4, 2.0, 3.0, 4.0])
 @pytest.mark.parametrize("cfg, u0", _preset_initial_fields())
 def test_mesh_mean_is_the_solver_average_on_every_preset_field(cfg, u0, e):
-    assert mesh.mean(Field(cfg.grid, u0), e) == solver._Ctx(cfg).average(u0, e)
+    assert mesh.mean(Field(cfg.grid, u0), e) == solver._Ctx(cfg).layout(u0.shape).average(u0, e)
 
 
 def test_an_exp1_run_samples_mesh_mean_as_its_first_mean_u():
