@@ -8,7 +8,10 @@ The central object is the Bernoulli comparison ODE
     F' = -Phi(sigma) F + Psi(sigma) F^omega,   F(0) = mean of u0,
 
 whose solution lower-bounds the evolving mean whenever p >= r (Jensen).
-Its explicit blow-up time upper-bounds the PDE blow-up time.
+Its explicit blow-up time upper-bounds the PDE blow-up time.  This module
+writes only that ODE's own closed forms; every closed form of a law (rho,
+L, sigma, and the logistic int_0^t L) is evolution's, which also owns their
+float-range rule.
 
 threshold_integral's logistic branch is one of the package's two scipy
 users (a quadrature); the other is evolution.t_of_sigma.  Each imports
@@ -30,9 +33,11 @@ from .evolution import (
     CoefficientBounds,
     _clock_pair,
     _exp_rate,
+    _int_L,
     _require_nonnegative,
     clock_coefficients,
     clock_end,
+    dilution_coefficient,
     sigma_horizon,
     sigma_of_t,
     t_of_sigma,
@@ -82,12 +87,6 @@ def _check_u0_mean(u0_mean: float) -> None:
         raise ValueError(f"u0_mean must be a finite nonnegative number, got {u0_mean}")
 
 
-def _log_int_L(law: EvolutionLaw, t: float) -> float:
-    """int_0^t L(eta) deta for the logistic law, in closed form."""
-    b, n, m = law.beta, law.dimension, law.m
-    return (1.0 + n * b) * t - n * math.log(1.0 - 1.0 / m + math.exp(b * t) / m)
-
-
 def threshold_integral(
     law: EvolutionLaw, idx: DerivedIndices, sigma_max: float = math.inf
 ) -> float:
@@ -112,7 +111,7 @@ def threshold_integral(
 
         val, _ = quad(
             lambda t: clock_coefficients(law, t, g, True)[1]
-            * math.exp((1.0 - w) * _log_int_L(law, t)),
+            * math.exp((1.0 - w) * _int_L(law, t)),
             0.0,
             t_max,
             limit=200,
@@ -120,7 +119,7 @@ def threshold_integral(
         return val
     # exponential: Phi = a/(1 - 2 r sigma), Psi = a^gamma/(1 - 2 r sigma)
     r = _exp_rate(law)
-    a = 1.0 + law.dimension * r
+    a = dilution_coefficient(law, 0.0)
     full = a ** (g - 1.0) / (w - 1.0)
     if sigma_max >= sigma_horizon(law):
         return full
@@ -185,7 +184,7 @@ def bernoulli_bound(
         sigma_upper = None
     else:
         r = _exp_rate(law)
-        a = 1.0 + law.dimension * r
+        a = dilution_coefficient(law, 0.0)
         sigma_upper = (1.0 - (1.0 - a ** (1.0 - g) * z) ** (2.0 * r / ((w - 1.0) * a))) / (
             2.0 * r
         )
@@ -339,8 +338,12 @@ def detect_blowup(
 
     BlowUp: the first sample at or above threshold is the event.  Quench:
     the first sample at or below the floor is the event.  Bounded
-    otherwise.  The report is _event_report's.
+    otherwise.  The report is _event_report's.  Raises ValueError when
+    threshold or quench_floor is NaN.
     """
+    for name, value in (("threshold", threshold), ("quench_floor", quench_floor)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got nan")
     sup = np.asarray(series.sup_norm, dtype=float)
     above = np.nonzero(sup >= threshold)[0]
     verdict = Verdict.BLOW_UP

@@ -367,15 +367,9 @@ def run_one(cfg: RunConfig, outdir: str) -> Verdict:
 
 def _run(cfg: RunConfig, outdir: str) -> BlowUpReport:
     """run_one, returning the whole report; writes nothing when advance()
-    rejects the config."""
+    rejects the config or the report cannot be built."""
     series, report, snapshots = advance(cfg)
-    os.makedirs(outdir, exist_ok=True)
     echo = render_config(cfg)
-    with open(os.path.join(outdir, "config.ini"), "w") as fh:
-        fh.write(echo)
-    series.to_csv(os.path.join(outdir, "series.csv"))
-    for label, snap in snapshots.items():
-        write_field_csv(snap, os.path.join(outdir, f"snapshot_{label}.csv"))
     lines = [f"verdict={report.verdict.value}"]
     for f in fields(BlowUpReport)[1:]:
         val = getattr(report, f.name)
@@ -385,6 +379,12 @@ def _run(cfg: RunConfig, outdir: str) -> BlowUpReport:
     lines += _bound_block(cfg)
     lines += ["", "[resolved-config]"]
     lines += ["# " + ln for ln in echo.rstrip("\n").split("\n")]
+    os.makedirs(outdir, exist_ok=True)
+    with open(os.path.join(outdir, "config.ini"), "w") as fh:
+        fh.write(echo)
+    series.to_csv(os.path.join(outdir, "series.csv"))
+    for label, snap in snapshots.items():
+        write_field_csv(snap, os.path.join(outdir, f"snapshot_{label}.csv"))
     with open(os.path.join(outdir, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return report
@@ -503,12 +503,13 @@ def main(argv: list[str] | None = None) -> int:
               if getattr(args, k.attr) is not None}
         law = _build(EvolutionLaw, "evolution", kw, "convert-time")
         if args.t is not None:
-            try:
-                print(f"sigma = {sigma_of_t(law, args.t)!r}")
-            except OverflowError:
-                raise ValueError(f"sigma at t = {args.t!r} overflows a float") from None
+            to, frm, value, convert = "sigma", "t", args.t, sigma_of_t
         else:
-            print(f"t = {t_of_sigma(law, args.sigma)!r}")
+            to, frm, value, convert = "t", "sigma", args.sigma, t_of_sigma
+        try:
+            print(f"{to} = {convert(law, value)!r}")
+        except OverflowError:
+            raise ValueError(f"{to} at {frm} = {value!r} overflows a float") from None
         return 0
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

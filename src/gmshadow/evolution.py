@@ -21,6 +21,19 @@ worked out when it is built: reaction_coeff, and so clock_coefficients,
 call it after checking sigma, and _clock_pair returns it for the sigma
 clock, the same bits with no check.
 
+This module alone evaluates a law's time dependence: rho, L, sigma and,
+for the logistic law, int_0^t L (_int_L, which analysis.threshold_integral
+integrates).  The exponential L = 1 + N r is dilution_coefficient's, which
+_exp_sigma_pair and analysis's closed forms call.  The logistic growth
+factor e^(beta t) is evaluated once, in _growth, which rho, L and int L
+share; where math.exp overflows it is +inf.  Where the growth factor, or
+its quotient by m < 1, leaves the float range, rho, L and int L take their
+limits m, 1 and t + N log m, as at t = inf, finite at every finite t;
+elsewhere each keeps its bits.  A conversion between the clocks that
+leaves the float range raises OverflowError: logistic sigma_of_t when a
+finite t gives an infinite sigma, and t_of_sigma when its bracket on t
+overflows.
+
 exp_growth and exp_decay are one law, rho = e^(r t), with the signed rate
 r = +beta or -beta (_exp_rate); each closed form is written once in r and
 rounds to the same bits as the two per-sign forms.  sigma_of_t alone keeps
@@ -128,17 +141,27 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a nonnegative number, got {value}")
 
 
+def _growth(law: EvolutionLaw, t: float) -> float:
+    """e^(beta t), the logistic law's growth factor: the one evaluation that
+    rho, L and int L share; +inf, its limit, where math.exp overflows."""
+    try:
+        return math.exp(law.beta * t)
+    except OverflowError:
+        return math.inf
+
+
 def scale_factor(law: EvolutionLaw, t: float) -> float:
     """rho(t), the isotropic scale factor; rho(0) = 1."""
     _require_nonnegative("t", t)
-    k, b = law.kind, law.beta
+    k = law.kind
     if k is LawKind.STATIC:
         return 1.0
     if k is LawKind.LOGISTIC:
-        if math.isinf(t):
-            return law.m
-        e = math.exp(b * t)
-        return e / (1.0 + (e - 1.0) / law.m)
+        # rho = m, the limit, where 1 + (e^(beta t) - 1)/m leaves the float
+        # range (e^(beta t) = inf, at t = inf or by overflow; e/m, for m < 1)
+        e = _growth(law, t)
+        den = 1.0 + (e - 1.0) / law.m
+        return law.m if math.isinf(den) else e / den
     return math.exp(_exp_rate(law) * t)
 
 
@@ -150,8 +173,18 @@ def dilution_coefficient(law: EvolutionLaw, t: float) -> float:
         return 1.0
     if k is LawKind.LOGISTIC:
         # rho' = beta*rho*(1 - rho/m), so N*rho'/rho = N*beta*(1-1/m) / (1+(e^{bt}-1)/m)
-        return 1.0 + n * b * (1.0 - 1.0 / law.m) / (1.0 + (math.exp(b * t) - 1.0) / law.m)
+        return 1.0 + n * b * (1.0 - 1.0 / law.m) / (1.0 + (_growth(law, t) - 1.0) / law.m)
     return 1.0 + n * _exp_rate(law)
+
+
+def _int_L(law: EvolutionLaw, t: float) -> float:
+    """int_0^t L(eta) deta for the logistic law, in closed form."""
+    b, n, m = law.beta, law.dimension, law.m
+    x = 1.0 - 1.0 / m + _growth(law, t) / m
+    if math.isinf(x):
+        # log x = beta t - log m to within 1/e^(beta t), below rounding
+        return t + n * math.log(m)
+    return (1.0 + n * b) * t - n * math.log(x)
 
 
 def sigma_horizon(law: EvolutionLaw) -> float:
@@ -177,11 +210,14 @@ def sigma_of_t(law: EvolutionLaw, t: float) -> float:
         return math.inf
     # logistic: 1/rho = (1-1/m)e^{-bt} + 1/m, expand the square and integrate
     a, c = 1.0 - 1.0 / law.m, 1.0 / law.m
-    return (
+    sigma = (
         a * a * (1.0 - math.exp(-2.0 * b * t)) / (2.0 * b)
         + 2.0 * a * c * (1.0 - math.exp(-b * t)) / b
         + c * c * t
     )
+    if math.isinf(sigma):
+        raise OverflowError(f"sigma at t = {t!r} overflows a float")
+    return sigma
 
 
 def t_of_sigma(law: EvolutionLaw, sigma: float) -> float:
@@ -202,6 +238,8 @@ def t_of_sigma(law: EvolutionLaw, sigma: float) -> float:
         hi = 1.0
         while sigma_of_t(law, hi) < sigma:
             hi *= 2.0
+            if math.isinf(hi):
+                raise OverflowError(f"t at sigma = {sigma!r} overflows a float")
         # imported here so that `import gmshadow` does not load scipy
         from scipy.optimize import brentq
 
@@ -243,7 +281,7 @@ def _exp_sigma_pair(law: EvolutionLaw, e: float) -> Callable[[float], tuple[floa
     caller keeps it nonnegative and short of the exp_growth horizon, as
     reaction_coeff does."""
     r = _exp_rate(law)
-    L = 1.0 + law.dimension * r
+    L = dilution_coefficient(law, 0.0)
     Le = L**e
 
     def pair(sigma: float) -> tuple[float, float]:

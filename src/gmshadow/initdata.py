@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,7 +48,8 @@ class InitSpec:
 
 def _spike_exponent(p: float) -> float:
     """The spike's decay exponent a = 2/(p-1), which needs p > 1."""
-    if p <= 1.0:
+    # written so that NaN fails too
+    if not p > 1.0:
         raise ValueError(f"spike exponent a = 2/(p-1) needs p > 1, got p={p}")
     return 2.0 / (p - 1.0)
 
@@ -56,7 +58,10 @@ def spike_profile(R: np.ndarray, delta: float, p: float) -> np.ndarray:
     """psi_delta(R): R^-a for delta <= R <= 1, parabolic cap below, a = 2/(p-1).
 
     Continuous with continuous slope at R=delta; non-increasing on [0,1].
+    Raises ValueError unless delta is finite and positive.
     """
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be a finite positive number, got {delta}")
     a = _spike_exponent(p)
     R = np.asarray(R, dtype=float)
     outer = np.power(np.maximum(R, delta), -a)

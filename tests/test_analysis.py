@@ -112,6 +112,24 @@ def test_logistic_threshold():
         logistic_mean_threshold(IDX, 0.1, 1.0, 2)
 
 
+def test_logistic_threshold_integral_is_finite_past_the_growth_factor_overflow():
+    # quad's map of [0, inf) evaluates the integrand where beta t > 709.78,
+    # past the float range of e^(beta t), where int L used to overflow
+    from scipy.integrate import quad
+
+    law = EvolutionLaw.logistic(1.0, 1.5, 2)
+    b, n, m, w, g = law.beta, law.dimension, law.m, IDX.omega, IDX.gamma
+    def integrand(t):
+        int_L = (1.0 + n * b) * t - n * math.log(1.0 - 1.0 / m + math.exp(b * t) / m)
+        return clock_coefficients(law, t, g, True)[1] * math.exp((1.0 - w) * int_L)
+
+    I = threshold_integral(law, IDX)
+    assert math.isfinite(I)
+    # the integrand is below 1e-400 past t = 700/beta
+    assert I == pytest.approx(quad(integrand, 0.0, 700.0 / b, limit=200)[0], abs=1e-12)
+    assert math.isfinite(bernoulli_bound(law, IDX, 2.0).mean_threshold)
+
+
 def test_bernoulli_bound_values():
     assert bernoulli_bound(STATIC, IDX, 2.0).sigma_upper == pytest.approx(SIGMA_1, rel=1e-12)
     assert bernoulli_bound(GROWTH, IDX, 2.0).sigma_upper == pytest.approx(SIGMA_G, rel=1e-12)
@@ -339,6 +357,18 @@ def test_detect_blowup_quench():
     rep = detect_blowup(SeriesStub(sig, 2.0 * np.exp(-3.0 * sig)), 3.0, 1e6, quench_floor=1e-3)
     assert rep.verdict is Verdict.QUENCH
     assert rep.event_time_sigma == pytest.approx(sig[np.nonzero(2 * np.exp(-3 * sig) <= 1e-3)[0][0]])
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(threshold=math.nan), "threshold"),
+    (dict(threshold=1e6, quench_floor=math.nan), "quench_floor"),
+], ids=["threshold", "quench_floor"])
+def test_detect_blowup_rejects_a_nan_threshold(kw, name):
+    # a NaN compares false with every sample, which read Bounded for any series
+    sig = np.linspace(0.0, 0.49, 200)
+    series = SeriesStub(sig, (0.5 - sig) ** (-1.0 / 3.0))
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got nan$"):
+        detect_blowup(series, 4.0, **kw)
 
 
 def test_detect_blowup_too_few_samples():

@@ -271,6 +271,52 @@ def test_cli_rejected_config_writes_nothing(tmp_path, capsys, text, message):
     assert not (tmp_path / "r").exists()
 
 
+ARTIFACTS = ["config.ini", "report.txt", "series.csv", "snapshot_final.csv"]
+# quad's map of [0, inf) takes the bound's integrand past beta t = 709.78,
+# where e^(beta t) overflows
+LATE_LOGISTIC = (MINIMAL_STATIC.replace("nonlocal_sigma", "nonlocal_t")
+                 .replace("end_time = 0.05", "end_time = 0.01")
+                 .replace("evolution = static", "evolution = logistic\nbeta = 1.0\nm = 1.5"))
+
+
+def test_cli_run_and_bounds_take_a_logistic_bound_past_the_growth_factor_overflow(
+        tmp_path, capsys):
+    path = write(tmp_path, LATE_LOGISTIC)
+    assert main(["run", path, "--outdir", str(tmp_path / "r")]) == 0
+    assert "[cfg] verdict=HorizonReached" in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path / "r" / "cfg")) == ARTIFACTS
+    report = (tmp_path / "r" / "cfg" / "report.txt").read_text()
+    assert "integral = 0.6583819222606301" in report
+    assert main(["bounds", path]) == 0
+    assert "integral = 0.6583819222606301" in capsys.readouterr().out
+
+
+def test_cli_run_whose_report_fails_writes_nothing(tmp_path, monkeypatch):
+    # the report, bound block included, is built before the run directory
+    def broken(cfg):
+        raise RuntimeError("bound failed")
+
+    monkeypatch.setattr(cli, "_bound_block", broken)
+    with pytest.raises(RuntimeError, match="bound failed"):
+        main(["run", write(tmp_path, MINIMAL_STATIC), "--outdir", str(tmp_path / "r")])
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_run_ending_non_finite_exits_1_with_four_artifacts(tmp_path, capsys):
+    # no threshold stops the blow-up, so u overflows to inf
+    text = (MINIMAL_STATIC.replace("end_time = 0.05", "end_time = 1e9")
+            .replace("blowup_threshold = 1e6", "blowup_threshold = inf")
+            .replace("nx = 9\nny = 9", "nx = 5\nny = 5")
+            .replace("init = constant\nc = 1.0", "init = cosine\nc = 2.0"))
+    rc = main(["run", write(tmp_path, text), "--outdir", str(tmp_path / "r")])
+    assert rc == 1
+    assert "[cfg] verdict=NonFinite" in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path / "r" / "cfg")) == ARTIFACTS
+    report = (tmp_path / "r" / "cfg" / "report.txt").read_text()
+    assert report.splitlines()[0] == "verdict=NonFinite"
+
+
 def test_cli_run_unknown_preset(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "missing.ini")])
     assert rc == 2
@@ -320,9 +366,15 @@ def test_cli_convert_time_prints_sigma_of_t(law, flags, capsys):
      "logistic m=1e+200 is out of range"),
     (["--evolution", "logistic", "--beta", "0.1", "--m", "1e-300", "--sigma", "1"],
      "logistic m=1e-300 is out of range"),
+    # sigma = t/m^2 + O(1) overflows at a finite t
+    (["--evolution", "logistic", "--beta", "0.1", "--m", "0.5", "--t", "1e308"],
+     "sigma at t = 1e+308 overflows a float"),
+    # t_of_sigma's bracket on t doubles past the largest double
+    (["--evolution", "logistic", "--beta", "0.1", "--m", "1.5", "--sigma", "1e308"],
+     "t at sigma = 1e+308 overflows a float"),
 ], ids=["t_nan", "sigma_nan", "logistic_without_m", "exp_decay_too_fast_in_3d",
         "exp_decay_sigma_overflows", "logistic_tiny_m", "logistic_huge_m_at_t_inf",
-        "logistic_tiny_m_sigma"])
+        "logistic_tiny_m_sigma", "logistic_sigma_overflows", "logistic_t_overflows"])
 def test_cli_convert_time_rejects_bad_input(argv, message, capsys):
     assert main(["convert-time", *argv]) == 2
     err = capsys.readouterr().err

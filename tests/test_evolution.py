@@ -354,3 +354,68 @@ def test_clock_end_matches_the_per_module_stops_bit_for_bit(law):
         assert clock_end(law, end, False) == min(end, horizon * (1.0 - 1e-9))
     if math.isfinite(horizon):
         assert clock_end(law, math.inf, False) < horizon
+
+
+# ---------------- logistic closed forms past the float range of e^(beta t)
+
+LOGISTIC_LAWS = [LOGISTIC, EvolutionLaw.logistic(1.0, 1.5, 2), EvolutionLaw.logistic(0.5, 2.0),
+                 EvolutionLaw.logistic(0.5, 0.5, 3), EvolutionLaw.logistic(2.0, 1e-3, 1)]
+
+
+def _logistic_forms(b, n, m):
+    """rho, L and int_0^t L written out with math.exp(b t) in each."""
+    return dict(
+        scale=lambda t: math.exp(b * t) / (1.0 + (math.exp(b * t) - 1.0) / m),
+        dilution=lambda t: 1.0 + n * b * (1.0 - 1.0 / m) / (1.0 + (math.exp(b * t) - 1.0) / m),
+        int_L=lambda t: (1.0 + n * b) * t - n * math.log(1.0 - 1.0 / m + math.exp(b * t) / m),
+    )
+
+
+@pytest.mark.parametrize("law", LOGISTIC_LAWS, ids=lambda l: f"beta{l.beta}-m{l.m}")
+def test_logistic_forms_keep_their_bits_where_the_growth_factor_is_in_range(law):
+    from gmshadow.evolution import _int_L
+
+    b, m = law.beta, law.m
+    f = _logistic_forms(b, law.dimension, m)
+    rng = np.random.default_rng(5)
+    for t in [0.0, 0.3311, 1.0, 300.0 / b, 700.0 / b, *rng.uniform(0.0, 709.0 / b, 50)]:
+        t = float(t)
+        # where 1 + (e^(beta t) - 1)/m is in range; beyond, these forms give
+        # rho = 0 and int L = -inf for m < 1
+        if math.isinf(math.exp(b * t) / m):
+            continue
+        assert scale_factor(law, t) == f["scale"](t)
+        assert dilution_coefficient(law, t) == f["dilution"](t)
+        assert _int_L(law, t) == f["int_L"](t)
+
+
+@pytest.mark.parametrize("law", LOGISTIC_LAWS, ids=lambda l: f"beta{l.beta}-m{l.m}")
+def test_logistic_forms_take_their_limits_past_the_growth_factor_overflow(law):
+    # at beta t > 709.78, math.exp(beta t) overflows; rho -> m, L -> 1 and
+    # int L -> t + N log m, finite at every finite t
+    from gmshadow.evolution import _int_L
+
+    b, n, m = law.beta, law.dimension, law.m
+    for t in (710.0 / b, 1e6 / b, 1e300, math.inf):
+        assert scale_factor(law, t) == m
+        assert dilution_coefficient(law, t) == 1.0
+        assert _int_L(law, t) == t + n * math.log(m)
+    # the limits join the closed forms where the growth factor is still finite
+    for t in (700.0 / b, 709.0 / b):
+        assert math.isclose(scale_factor(law, t), m, rel_tol=1e-15)
+        assert math.isclose(_int_L(law, t), t + n * math.log(m), rel_tol=1e-14)
+
+
+def test_clock_conversions_leaving_the_float_range_raise_overflow_error():
+    # sigma = c^2 t + O(1) with c = 1/m = 2 overflows at a finite t
+    shrinking = EvolutionLaw.logistic(0.1, 0.5)
+    with pytest.raises(OverflowError, match=re.escape("sigma at t = 1e+308 overflows a float")):
+        sigma_of_t(shrinking, 1e308)
+    assert sigma_of_t(shrinking, math.inf) == math.inf
+    # the root-find's bracket on t doubles past the largest double
+    with pytest.raises(OverflowError, match=re.escape("t at sigma = 1e+308 overflows a float")):
+        t_of_sigma(EvolutionLaw.logistic(0.1, 1.5), 1e308)
+    # just inside the range both directions still convert
+    for law in (shrinking, EvolutionLaw.logistic(0.1, 1.5)):
+        t = t_of_sigma(law, 1e307)
+        assert math.isclose(sigma_of_t(law, t), 1e307, rel_tol=1e-15)

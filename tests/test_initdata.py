@@ -79,6 +79,20 @@ def test_spike_branch_values():
     assert f.values[0] == pytest.approx(0.1547196277870926, rel=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.5, math.nan, math.inf])
+def test_spike_profile_rejects_a_delta_that_is_not_finite_and_positive(delta):
+    # delta = 0 divided by zero, and NaN gave a NaN profile
+    R = RadialGrid(3, 9).R
+    with pytest.raises(ValueError, match=re.escape(
+            f"delta must be a finite positive number, got {delta}")):
+        spike_profile(R, delta, 3.0)
+
+
+def test_spike_profile_rejects_a_nan_exponent():
+    with pytest.raises(ValueError, match="needs p > 1, got p=nan"):
+        spike_profile(RadialGrid(3, 9).R, 0.5, math.nan)
+
+
 def test_spike_monotone_and_continuous():
     g = RadialGrid(3, 513)
     for delta, p in [(0.8, 4.0), (0.3, 3.0), (0.05, 5.0)]:

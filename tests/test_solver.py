@@ -621,11 +621,9 @@ def test_config_rejects_an_end_time_that_never_ends(system, law):
 @pytest.mark.parametrize("system, law, end_time", [
     # rho^2 = e^(2 beta t) overflows at t = 47.3, with the mean held at 2
     (SystemKind.NONLOCAL_T, EvolutionLaw.exp_growth(7.5), 50.0),
-    # e^(beta t) overflows inside rho and L, though rho tends to m
-    (SystemKind.NONLOCAL_T, EvolutionLaw.logistic(0.5, 2.0), 1500.0),
     # sigma = expm1(2 beta t)/(2 beta) overflows
     (SystemKind.FULL_RD, EvolutionLaw.exp_decay(0.1), 4000.0),
-], ids=["exp_growth", "logistic", "exp_decay"])
+], ids=["exp_growth", "exp_decay"])
 def test_config_rejects_an_end_time_beyond_the_float_range_of_its_clock(system, law, end_time):
     kw = dict(system=system, params=TAU, law=law, grid=RectGrid(3, 3))
     with pytest.raises(ValueError, match=re.escape(
@@ -634,6 +632,35 @@ def test_config_rejects_an_end_time_beyond_the_float_range_of_its_clock(system, 
         small_cfg(**kw, end_time=end_time)
     # the closed forms are monotone in t, so end_time bounds every step's clock
     small_cfg(**kw, end_time=0.85 * end_time)
+
+
+LATE_LOGISTIC = EvolutionLaw.logistic(0.5, 2.0)
+
+
+def test_config_accepts_a_logistic_end_time_past_the_growth_factor_overflow():
+    # e^(beta t) overflows at beta t = 709.78, where rho^2 = m^2 = 4 and
+    # sigma = 376.25 are in range; rho^2 or sigma out of range still rejects
+    for system in (SystemKind.NONLOCAL_T, SystemKind.FULL_RD):
+        small_cfg(system=system, params=TAU, law=LATE_LOGISTIC, grid=RectGrid(3, 3),
+                  end_time=1500.0)
+    with pytest.raises(ValueError, match=re.escape("takes rho^2 or sigma out of float range")):
+        small_cfg(system=SystemKind.NONLOCAL_T, law=EvolutionLaw.logistic(0.5, 0.5),
+                  end_time=1e308)
+
+
+@pytest.mark.parametrize("system", [SystemKind.NONLOCAL_T, SystemKind.FULL_RD],
+                         ids=lambda s: s.value)
+def test_step_runs_a_logistic_law_past_the_growth_factor_overflow_to_a_verdict(system):
+    # u = 1 is stationary once L = 1, as under the static law
+    cfg = small_cfg(system=system, params=TAU, law=LATE_LOGISTIC, dt=0.01, end_time=1500.0,
+                    init=InitSpec(InitKind.CONSTANT, c=1.0))
+    state = RunState.initial(cfg)
+    state.clock = 1499.0
+    while state.verdict is None:
+        state = step(cfg, state)
+    assert state.verdict is Verdict.HORIZON_REACHED
+    assert state.clock == pytest.approx(1500.0, abs=1e-9)
+    assert np.all(np.isfinite(state.u))
 
 
 BALL = dict(law=EvolutionLaw.static(3), grid=RadialGrid(3, 17))

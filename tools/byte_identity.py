@@ -20,8 +20,10 @@ change that shifts bytes on purpose is still checked for agreeing with
 itself.  It prints one line per comparison and exits 0 when all are
 identical, and 1, naming each differing or missing file, otherwise; under
 each differing report.txt it prints the `key = value` lines that changed.
-A preset or config whose command fails (exit status other than 0, or 1
-for a NonFinite verdict) is an error, exit 2.
+A preset or config whose command fails is an error, exit 2, with the
+command's stderr: any exit status other than 0, except 1 from a command
+that printed a `verdict=NonFinite` line (an uncaught exception also exits
+1, so the status alone does not tell a NonFinite run from a crash).
 
 The trees go to a temporary directory, removed at the end; README's loop
 keeps them for a closer look.  Stdlib only; needs os.sched_setaffinity
@@ -53,7 +55,8 @@ def run_presets(checkout: Path, outdir: Path, cpu: int | None) -> None:
         proc = subprocess.run(
             [sys.executable, "-m", "gmshadow.cli", "run", target, "--outdir", str(outdir)],
             cwd=checkout, env=env, preexec_fn=pin, capture_output=True, text=True)
-        if proc.returncode not in (0, 1):
+        nonfinite = proc.returncode == 1 and "verdict=NonFinite" in proc.stdout
+        if proc.returncode != 0 and not nonfinite:
             print(f"{checkout}: {target} failed with exit status "
                   f"{proc.returncode}\n{proc.stderr}", file=sys.stderr)
             sys.exit(2)
