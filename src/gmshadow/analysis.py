@@ -35,7 +35,6 @@ from .evolution import (
     _exp_rate,
     _int_L,
     _require_nonnegative,
-    clock_coefficients,
     clock_end,
     dilution_coefficient,
     sigma_horizon,
@@ -109,9 +108,9 @@ def threshold_integral(
         # imported here so that `import gmshadow` does not load scipy
         from scipy.integrate import quad
 
+        pair = _clock_pair(law, g, True)
         val, _ = quad(
-            lambda t: clock_coefficients(law, t, g, True)[1]
-            * math.exp((1.0 - w) * _int_L(law, t)),
+            lambda t: pair(t)[1] * math.exp((1.0 - w) * _int_L(law, t)),
             0.0,
             t_max,
             limit=200,
@@ -216,8 +215,10 @@ def bernoulli_oracle(
     analytic tail F^(1-omega)/((omega-1) Psi) is added to the reported
     blow-up time.  The logistic law is integrated in the t clock (where its
     coefficients are closed-form), to t(sigma_max), and reported in sigma.
-    The coefficient pair, built once per call, and the sigma-horizon stop
-    are evolution._clock_pair and clock_end, the ones the solver uses.
+    The coefficient pair, built once per call, is evolution._clock_pair,
+    the one the solver uses.  The stop is clock_end's in the sigma clock,
+    converted to t for the logistic law; clock_end also rejects a
+    sigma_max that never ends the integration.
     Serves as the independent oracle for every closed-form bound.
 
     Raises ValueError, before integrating, unless dt > 0, u0_mean is finite
@@ -231,12 +232,7 @@ def bernoulli_oracle(
     _require_nonnegative("sigma_max", sigma_max)
     w, g = idx.omega, idx.gamma
     in_t = law.kind is LawKind.LOGISTIC
-    end = clock_end(law, sigma_max, in_t)
-    if math.isinf(end):
-        raise ValueError(
-            f"sigma_max={sigma_max} never ends the integration under "
-            f"{law.kind.value}; only exp_growth stops at its sigma horizon"
-        )
+    end = clock_end(law, sigma_max, False, "sigma_max")
     if in_t:
         end = t_of_sigma(law, end)
     pair = _clock_pair(law, g, in_t)

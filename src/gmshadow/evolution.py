@@ -9,17 +9,24 @@ sigma-form coefficients
     Psi(sigma) = phi^(2(1-gamma)) * Phi^gamma = rho^2 * L^gamma,
 
 where phi(sigma) = rho(t(sigma)).  Everything below uses per-law closed
-forms; nothing differentiates rho numerically.  reaction_coeff is the one
-body of the three: phi^2 and Phi are its gamma = 0 and gamma = 1 cases.
-The solver and the Bernoulli oracle take their coefficient pair from
-_clock_pair, the one place that decides whether a law's pair is fixed,
-built once or worked out per clock; each builds it once, per solver
-context or oracle call.  Their sigma-horizon stop is clock_end.  Under the
-exponential laws the sigma-clock pair's closed form, (L, L**e)/(1 - 2 r
-sigma), is written once, in _exp_sigma_pair, a callable of sigma with L**e
-worked out when it is built: reaction_coeff, and so clock_coefficients,
-call it after checking sigma, and _clock_pair returns it for the sigma
-clock, the same bits with no check.
+forms; nothing differentiates rho numerically.
+
+_clock_pair is the one writer of every law's pair, (Phi, Psi_e) in the
+sigma clock and (L, L^e) in t, and the one place that decides whether it
+is fixed, built once or worked out per clock.  The solver and the
+Bernoulli oracle build it once, per solver context or oracle call;
+clock_coefficients is its value at a checked clock, and reaction_coeff,
+the one body of phi^2, Phi and Psi (e = 0, 1, gamma), is that pair's
+second entry.  Under the exponential laws the sigma-clock pair's closed
+form, (L, L**e)/(1 - 2 r sigma), is _exp_sigma_pair, with L**e worked out
+when it is built; under the logistic law the sigma-clock pair takes rho^2
+and L at the one t(sigma).
+
+clock_end alone answers where an integration to an end stops, or why it
+cannot: the stop, short of exp_growth's sigma horizon, and the two errors
+of an end, one that never ends the integration and, in t under an evolving
+law, one that takes rho^2 or sigma out of float range.  RunConfig and the
+oracle call it once each.
 
 This module alone evaluates a law's time dependence: rho, L, sigma and,
 for the logistic law, int_0^t L (_int_L, which analysis.threshold_integral
@@ -257,21 +264,7 @@ def reaction_coeff(law: EvolutionLaw, sigma: float, gamma: float) -> float:
     The one body of all three sigma-form coefficients: gamma = 0 gives
     phi^2 and gamma = 1 gives Phi.
     """
-    _require_nonnegative("sigma", sigma)
-    k = law.kind
-    if k is LawKind.STATIC:
-        return 1.0
-    if k is LawKind.LOGISTIC:
-        if math.isinf(sigma):
-            return law.m ** 2
-        t = t_of_sigma(law, sigma)
-        return scale_factor(law, t) ** 2 * dilution_coefficient(law, t) ** gamma
-    # only the exp_growth horizon is singular; exp_decay tends to 0 as sigma -> inf
-    if law.kind is LawKind.EXP_GROWTH and sigma >= sigma_horizon(law):
-        raise ValueError(
-            f"sigma={sigma} at or beyond the exp_growth horizon {sigma_horizon(law)}"
-        )
-    return _exp_sigma_pair(law, gamma)(sigma)[1]
+    return clock_coefficients(law, sigma, gamma, False)[1]
 
 
 def _exp_sigma_pair(law: EvolutionLaw, e: float) -> Callable[[float], tuple[float, float]]:
@@ -279,7 +272,7 @@ def _exp_sigma_pair(law: EvolutionLaw, e: float) -> Callable[[float], tuple[floa
     of an exponential law in the sigma clock (rho^2 = 1/(1 - 2 r sigma) and
     L = 1 + N r), with L**e worked out once.  The sigma is not checked: a
     caller keeps it nonnegative and short of the exp_growth horizon, as
-    reaction_coeff does."""
+    clock_coefficients does."""
     r = _exp_rate(law)
     L = dilution_coefficient(law, 0.0)
     Le = L**e
@@ -307,34 +300,71 @@ def clock_coefficients(
     """(Phi, Psi_e) = (rho^2 L, rho^2 L^e) in the sigma clock, and its image
     (L, L^e) = (Phi, Psi_e)/rho^2 in the t clock.  e = gamma is the pair of
     the non-local equation and the Bernoulli ODE, e = 0 that of the
-    inhibitor families: (Phi, phi^2) in sigma, (L, 1) in t."""
-    if t_clock:
-        L = dilution_coefficient(law, clock)
-        return L, L**e
-    return reaction_coeff(law, clock, 1.0), reaction_coeff(law, clock, e)
+    inhibitor families: (Phi, phi^2) in sigma, (L, 1) in t.
+
+    _clock_pair's value at a checked clock: raises ValueError unless the
+    clock is nonnegative and, in sigma, short of the exp_growth horizon."""
+    _require_nonnegative("t" if t_clock else "sigma", clock)
+    # only the exp_growth horizon is singular; exp_decay tends to 0 as sigma -> inf
+    if not t_clock and law.kind is LawKind.EXP_GROWTH and clock >= sigma_horizon(law):
+        raise ValueError(f"sigma={clock} at or beyond the exp_growth horizon "
+                         f"{sigma_horizon(law)}")
+    return _clock_pair(law, e, t_clock)(clock)
 
 
 def _clock_pair(
     law: EvolutionLaw, e: float, t_clock: bool
 ) -> Callable[[float], tuple[float, float]]:
-    """clock -> clock_coefficients(law, clock, e, t_clock), bit for bit, built
-    once per law: fixed under the static law and, in t, under an exponential
-    law (L = 1 + N r); _exp_sigma_pair in sigma under an exponential law;
-    clock_coefficients on every call under the logistic law.  The clock is
-    not checked: a caller keeps it nonnegative and, in sigma, short of the
-    exp_growth horizon."""
+    """clock -> (Phi, Psi_e) in sigma, (L, L^e) in t: the one writer of every
+    law's pair, built once per law.  Fixed under the static law and, in t,
+    under an exponential law (L = 1 + N r); _exp_sigma_pair in sigma under
+    an exponential law; under the logistic law L at each t and, in sigma,
+    rho^2 and L at the one t(sigma), the limits (m^2, m^2) at sigma = inf.
+    The clock is not checked (clock_coefficients checks it): a caller keeps
+    it nonnegative and, in sigma, short of the exp_growth horizon."""
     if law.kind is LawKind.LOGISTIC:
-        return lambda clock: clock_coefficients(law, clock, e, t_clock)
-    if law.kind is LawKind.STATIC or t_clock:
-        ab = clock_coefficients(law, 0.0, e, t_clock)
-        return lambda clock: ab
-    return _exp_sigma_pair(law, e)
+        def pair(clock: float) -> tuple[float, float]:
+            if t_clock:
+                L = dilution_coefficient(law, clock)
+                return L, L**e
+            if math.isinf(clock):
+                return law.m ** 2, law.m ** 2
+            t = t_of_sigma(law, clock)
+            rho2, L = scale_factor(law, t) ** 2, dilution_coefficient(law, t)
+            return rho2 * L, rho2 * L**e
+        return pair
+    if law.kind is LawKind.STATIC:
+        ab = 1.0, 1.0
+    elif t_clock:
+        L = dilution_coefficient(law, 0.0)
+        ab = L, L**e
+    else:
+        return _exp_sigma_pair(law, e)
+    return lambda clock: ab
 
 
-def clock_end(law: EvolutionLaw, end: float, t_clock: bool) -> float:
+def clock_end(law: EvolutionLaw, end: float, t_clock: bool, name: str = "end") -> float:
     """The stop of an integration to `end`: end in t; in sigma, whose horizon
-    is t = inf, no later than a relative 1e-9 short of the horizon."""
-    return end if t_clock else min(end, sigma_horizon(law) * (1.0 - 1e-9))
+    is t = inf, no later than a relative 1e-9 short of the horizon.
+
+    The one check of an end: raises ValueError, naming it `name`, when the
+    stop is infinite (only exp_growth in the sigma clock stops at a finite
+    horizon), and, in t under an evolving law, when end takes rho^2 or
+    sigma out of float range.  Both are monotone in t, so their values at
+    end bound those of every step."""
+    stop = end if t_clock else min(end, sigma_horizon(law) * (1.0 - 1e-9))
+    if math.isinf(stop):
+        raise ValueError(f"{name}={end} never ends the integration under {law.kind.value}; "
+                         "only exp_growth in the sigma clock stops, at its horizon")
+    if t_clock and law.kind is not LawKind.STATIC:
+        try:
+            ends = scale_factor(law, end) ** 2, sigma_of_t(law, end)
+        except OverflowError:
+            ends = (math.inf,)
+        if not all(0.0 < x < math.inf for x in ends):
+            raise ValueError(f"{name}={end} takes rho^2 or sigma out of float range under "
+                             f"{law.kind.value} with beta={law.beta}")
+    return stop
 
 
 def coefficient_bounds(
@@ -352,15 +382,14 @@ def coefficient_bounds(
     if lo >= smax:
         raise ValueError(f"interval start {lo} beyond the sigma horizon {smax}")
 
-    def at(e, sigma):
+    def at(sigma):
         # only the exp_growth horizon is a singular boundary; the other laws
         # have well-defined limits as sigma -> inf
         if math.isfinite(smax) and sigma >= smax:
-            return math.inf
-        return reaction_coeff(law, sigma, e)
+            return math.inf, math.inf
+        return clock_coefficients(law, sigma, gamma, False)
 
-    phis = (at(1.0, lo), at(1.0, hi))
-    psis = (at(gamma, lo), at(gamma, hi))
+    phis, psis = zip(at(lo), at(hi))
     return CoefficientBounds(
         m_phi=min(phis), M_phi=max(phis), m_psi=min(psis), M_psi=max(psis)
     )

@@ -99,10 +99,11 @@ out once per step otherwise.  (a, b) comes from evolution._clock_pair,
 built once per context, as the Bernoulli oracle builds it: fixed under the
 static law and, in t, under an exponential law (L = 1 + N r); in the sigma
 clock, where an evolving law is exponential, (L, L**e)/(1 - 2 r sigma)
-with L**e worked out, so a step does two divides instead of two
-reaction_coeff calls, to the same bits; under the logistic law
-clock_coefficients on every step.  rhs() still checks its clock against the
-exp_growth horizon.  What is bound to the shape of the arrays a step takes
+with L**e worked out, so a step does two divides; under the logistic law,
+L and L**e at each t.  The clock end, and the config's rejection of an end
+that never stops or leaves the float range, are evolution.clock_end's.
+rhs() still checks its clock against the exp_growth horizon, through
+clock_coefficients.  What is bound to the shape of the arrays a step takes
 is a _Layout: the Laplacian, FULL_RD's inhibitor solve and the step
 workspace, which holds the mean's power of u (u^r in a step), u^p, a*u,
 and the Laplacian's own buffers (the rectangle's ghost frame, the ball's
@@ -209,26 +210,7 @@ class RunConfig:
             raise ValueError(f"{self.system.value} needs tau > 0, got {self.params.tau}")
         if self.law.kind is LawKind.LOGISTIC and not self.system.t_native:
             raise ValueError("logistic evolution is integrated in t-form only")
-        if math.isinf(clock_end(self.law, self.end_time, self.system.t_native)):
-            clock = "t" if self.system.t_native else "sigma"
-            raise ValueError(
-                f"end_time={self.end_time} never ends a {clock}-clock run under "
-                f"{self.law.kind.value}; only a sigma-clock exp_growth run stops "
-                "at its horizon"
-            )
-        if self.system.t_native and self.law.kind is not LawKind.STATIC:
-            # rho^2 and sigma are monotone in t: their values at end_time
-            # bound those of every step
-            try:
-                ends = (scale_factor(self.law, self.end_time) ** 2,
-                        sigma_of_t(self.law, self.end_time))
-            except OverflowError:
-                ends = (math.inf,)
-            if not all(0.0 < x < math.inf for x in ends):
-                raise ValueError(
-                    f"end_time={self.end_time} takes rho^2 or sigma out of float "
-                    f"range under {self.law.kind.value} with beta={self.law.beta}"
-                )
+        clock_end(self.law, self.end_time, self.system.t_native, "end_time")
         if self.system is SystemKind.FULL_RD and not isinstance(self.grid, RectGrid):
             raise ValueError("the full two-species system runs on the rectangle grid")
         grid_dim = 2 if isinstance(self.grid, RectGrid) else self.grid.dim

@@ -349,11 +349,18 @@ def test_built_once_sigma_pair_is_clock_coefficients_bit_for_bit(law):
                          ids=lambda l: f"{l.kind.value}-{l.beta}-N{l.dimension}")
 def test_clock_end_matches_the_per_module_stops_bit_for_bit(law):
     horizon = sigma_horizon(law)
-    for end in [1e-3, 0.3, 1.0, 4.9999, 5.0, 20.0, 50.0, math.inf]:
+    for end in [1e-3, 0.3, 1.0, 4.9999, 5.0, 20.0, 50.0]:
         assert clock_end(law, end, True) == end
         assert clock_end(law, end, False) == min(end, horizon * (1.0 - 1e-9))
+    # an infinite end never stops a t-clock integration, nor a sigma-clock
+    # one but at the exp_growth horizon
+    with pytest.raises(ValueError, match="end=inf never ends the integration"):
+        clock_end(law, math.inf, True)
     if math.isfinite(horizon):
         assert clock_end(law, math.inf, False) < horizon
+    else:
+        with pytest.raises(ValueError, match="end=inf never ends the integration"):
+            clock_end(law, math.inf, False)
 
 
 # ---------------- logistic closed forms past the float range of e^(beta t)

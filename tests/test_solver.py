@@ -726,9 +726,9 @@ def test_step_evaluates_rho_once(system, params, monkeypatch):
     monkeypatch.setattr(solver, "scale_factor", counted)
     state = _step_loop(cfg)
     assert state.steps > 10
-    # plus one at end_time when step() builds its context, whose config
-    # validation checks that rho^2 stays in float range
-    assert len(calls) == (state.steps + 1 if system.t_native else 0)
+    # the config validation's check that rho^2 at end_time stays in float
+    # range is evolution.clock_end's, outside this count
+    assert len(calls) == (state.steps if system.t_native else 0)
 
 
 def _step_loop(cfg):
