@@ -511,7 +511,8 @@ def main(argv: list[str] | None = None) -> int:
         except OverflowError:
             raise ValueError(f"{to} at {frm} = {value!r} overflows a float") from None
         return 0
-    except (ConfigError, ValueError) as e:
+    except (ConfigError, ValueError, OSError) as e:
+        # OSError: an output directory that cannot be made or written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

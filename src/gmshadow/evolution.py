@@ -312,6 +312,15 @@ def clock_coefficients(
     return _clock_pair(law, e, t_clock)(clock)
 
 
+def _check_dilution(law: EvolutionLaw) -> None:
+    """Reject a logistic law whose L(0) = 1 + N beta (1 - 1/m) is negative:
+    L is monotone in t and tends to 1, so for m < 1 L(0) is its minimum, and
+    a negative L has no real power L^gamma."""
+    if law.kind is LawKind.LOGISTIC and (L0 := dilution_coefficient(law, 0.0)) < 0.0:
+        raise ValueError(f"logistic L(0) = 1 + N*beta*(1 - 1/m) = {L0} is negative for "
+                         f"beta={law.beta}, m={law.m}, N={law.dimension}")
+
+
 def _clock_pair(
     law: EvolutionLaw, e: float, t_clock: bool
 ) -> Callable[[float], tuple[float, float]]:
@@ -321,7 +330,12 @@ def _clock_pair(
     an exponential law; under the logistic law L at each t and, in sigma,
     rho^2 and L at the one t(sigma), the limits (m^2, m^2) at sigma = inf.
     The clock is not checked (clock_coefficients checks it): a caller keeps
-    it nonnegative and, in sigma, short of the exp_growth horizon."""
+    it nonnegative and, in sigma, short of the exp_growth horizon.  Raises
+    ValueError, as it is built, for a non-finite e and for a logistic law
+    whose L(0) is negative (_check_dilution)."""
+    if not math.isfinite(e):
+        raise ValueError(f"exponent must be finite, got {e}")
+    _check_dilution(law)
     if law.kind is LawKind.LOGISTIC:
         def pair(clock: float) -> tuple[float, float]:
             if t_clock:

@@ -135,6 +135,7 @@ from .analysis import BlowUpReport, Verdict, _event_report
 from .evolution import (
     EvolutionLaw,
     LawKind,
+    _check_dilution,
     _clock_pair,
     _require_nonnegative,
     clock_coefficients,
@@ -211,6 +212,7 @@ class RunConfig:
         if self.law.kind is LawKind.LOGISTIC and not self.system.t_native:
             raise ValueError("logistic evolution is integrated in t-form only")
         clock_end(self.law, self.end_time, self.system.t_native, "end_time")
+        _check_dilution(self.law)
         if self.system is SystemKind.FULL_RD and not isinstance(self.grid, RectGrid):
             raise ValueError("the full two-species system runs on the rectangle grid")
         grid_dim = 2 if isinstance(self.grid, RectGrid) else self.grid.dim

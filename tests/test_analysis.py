@@ -479,3 +479,23 @@ def test_exponential_bounds_match_per_sign_formulas_bit_for_bit(law):
                 assert rep.sigma_upper == _per_sign_sigma_upper(law, idx, u0)
                 checked += 1
         assert checked >= 2
+
+
+# L(0) = 1 + N beta (1 - 1/m) = -198.8, the minimum of L for m < 1
+NEGATIVE_L0 = EvolutionLaw.logistic(0.1, 0.001)
+
+
+def test_bounds_and_oracle_reject_a_logistic_law_whose_dilution_starts_negative():
+    # its L^gamma used to be complex: a TypeError inside the quadrature, and
+    # a complex F in the oracle
+    message = re.escape("logistic L(0) = 1 + N*beta*(1 - 1/m) = -198.8 is negative")
+    with pytest.raises(ValueError, match=message):
+        threshold_integral(NEGATIVE_L0, IDX)
+    with pytest.raises(ValueError, match=message):
+        bernoulli_bound(NEGATIVE_L0, IDX, 2.0)
+    with pytest.raises(ValueError, match=message):
+        bernoulli_oracle(NEGATIVE_L0, IDX, 2.0, dt=1e-3, sigma_max=1.0)
+    # L(0) = 0 keeps its threshold and trajectory
+    zero = EvolutionLaw.logistic(0.5, 0.5, 2)
+    assert 0.0 < threshold_integral(zero, IDX) < math.inf
+    assert bernoulli_oracle(zero, IDX, 0.5, dt=1e-3, sigma_max=1.0).sigma[-1] == pytest.approx(1.0)

@@ -317,6 +317,36 @@ def test_cli_run_ending_non_finite_exits_1_with_four_artifacts(tmp_path, capsys)
     assert report.splitlines()[0] == "verdict=NonFinite"
 
 
+# L(0) = 1 + N beta (1 - 1/m) = -198.8 with p, q, r, s = 3, 2, 1, 2
+NEGATIVE_L0 = (MINIMAL_STATIC.replace("nonlocal_sigma", "nonlocal_t")
+               .replace("evolution = static", "evolution = logistic\nbeta = 0.1\nm = 0.001"))
+
+
+def test_cli_rejects_a_logistic_law_whose_dilution_starts_negative(tmp_path, capsys):
+    # run used to crash on a complex L^gamma (exit 1) and bounds raise TypeError
+    path = write(tmp_path, NEGATIVE_L0)
+    assert main(["run", path, "--outdir", str(tmp_path / "r")]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+    assert main(["bounds", path]) == 2
+    assert "L(0) = 1 + N*beta*(1 - 1/m) = -198.8 is negative" in capsys.readouterr().err
+
+
+def test_cli_run_to_an_outdir_that_is_a_file_is_an_error(tmp_path, capsys, monkeypatch):
+    # NotADirectoryError used to escape as a traceback, exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["run", write(tmp_path, MINIMAL_STATIC), "--outdir", str(blocker)])
+    assert rc == 2
+    assert "error: " in capsys.readouterr().err
+    # a preset's runs raise it from their workers, when there are several CPUs
+    tiny = parse_config(write(tmp_path, MINIMAL_STATIC.replace("nx = 9\nny = 9", "nx = 5\nny = 5")))
+    monkeypatch.setitem(PRESETS, "tiny", lambda: {"a": tiny, "b": tiny})
+    assert main(["run", "tiny", "--outdir", str(blocker)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 def test_cli_run_unknown_preset(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "missing.ini")])
     assert rc == 2

@@ -426,3 +426,43 @@ def test_clock_conversions_leaving_the_float_range_raise_overflow_error():
     for law in (shrinking, EvolutionLaw.logistic(0.1, 1.5)):
         t = t_of_sigma(law, 1e307)
         assert math.isclose(sigma_of_t(law, t), 1e307, rel_tol=1e-15)
+
+
+# ---------------- what the pair builder rejects
+
+
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("law", ALL, ids=lambda l: l.kind.value)
+def test_pair_rejects_a_non_finite_exponent(law, e):
+    # a NaN exponent used to give NaN coefficients and bounds, an infinite
+    # one a pair such as (0.8, 0.0) under exp_decay
+    message = re.escape(f"exponent must be finite, got {e}")
+    with pytest.raises(ValueError, match=message):
+        reaction_coeff(law, 0.1, e)
+    with pytest.raises(ValueError, match=message):
+        coefficient_bounds(law, e, (0.0, 1.0))
+    for t_clock in (True, False):
+        with pytest.raises(ValueError, match=message):
+            clock_coefficients(law, 0.1, e, t_clock)
+
+
+# L(0) = 1 + N beta (1 - 1/m) = -198.8, the minimum of L for m < 1
+NEGATIVE_L0 = EvolutionLaw.logistic(0.1, 0.001)
+
+
+def test_pair_rejects_a_logistic_law_whose_dilution_starts_negative():
+    # L^gamma of a negative L used to be a complex number
+    message = re.escape("logistic L(0) = 1 + N*beta*(1 - 1/m) = -198.8 is negative")
+    with pytest.raises(ValueError, match=message):
+        reaction_coeff(NEGATIVE_L0, 0.1, 2.0 / 3.0)
+    with pytest.raises(ValueError, match=message):
+        coefficient_bounds(NEGATIVE_L0, 2.0 / 3.0, (0.0, 1.0))
+    for t_clock in (True, False):
+        with pytest.raises(ValueError, match=message):
+            clock_coefficients(NEGATIVE_L0, 0.1, 2.0 / 3.0, t_clock)
+    # the law itself keeps its rho and sigma
+    assert 0.0 < scale_factor(NEGATIVE_L0, 1.0) < 1.0
+    assert sigma_of_t(NEGATIVE_L0, 1.0) > 1.0
+    # L(0) = 0 is accepted: 0^gamma = 0
+    assert clock_coefficients(EvolutionLaw.logistic(0.5, 0.5, 2), 0.0, 2.0 / 3.0, True) == (
+        0.0, 0.0)

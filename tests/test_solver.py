@@ -634,6 +634,20 @@ def test_config_rejects_an_end_time_beyond_the_float_range_of_its_clock(system, 
     small_cfg(**kw, end_time=0.85 * end_time)
 
 
+def test_config_rejects_a_logistic_law_whose_dilution_starts_negative():
+    # L(0) = 1 + N beta (1 - 1/m) = -198.8: a run used to crash on a complex
+    # L^gamma inside its first step
+    for system in (SystemKind.NONLOCAL_T, SystemKind.FULL_RD):
+        with pytest.raises(ValueError, match=re.escape(
+                "logistic L(0) = 1 + N*beta*(1 - 1/m) = -198.8 is negative")):
+            small_cfg(system=system, params=TAU, law=EvolutionLaw.logistic(0.1, 0.001),
+                      end_time=0.01)
+    # L(0) = 0 is accepted, and steps to a verdict
+    cfg = small_cfg(system=SystemKind.NONLOCAL_T, law=EvolutionLaw.logistic(0.5, 0.5, 2),
+                    init=InitSpec(InitKind.COSINE_PLUS, c=2.0), end_time=0.01)
+    assert _step_loop(cfg).verdict is Verdict.HORIZON_REACHED
+
+
 LATE_LOGISTIC = EvolutionLaw.logistic(0.5, 2.0)
 
 
