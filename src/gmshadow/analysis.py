@@ -223,7 +223,8 @@ def bernoulli_oracle(
 
     Raises ValueError, before integrating, unless dt > 0, u0_mean is finite
     and >= 0, and sigma_max is >= 0 and finite, or infinite under
-    exp_growth, whose sigma horizon ends the integration.
+    exp_growth, whose sigma horizon ends the integration; and, as the pair
+    is built, for a logistic law whose L(0) is negative.
     """
     # written so that NaN fails too
     if not dt > 0.0:
