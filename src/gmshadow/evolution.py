@@ -26,7 +26,8 @@ clock_end alone answers where an integration to an end stops, or why it
 cannot: the stop, short of exp_growth's sigma horizon, and the two errors
 of an end, one that never ends the integration and, in t under an evolving
 law, one that takes rho^2 or sigma out of float range.  RunConfig and the
-oracle call it once each.
+oracle call it once each.  That float-range rule is _out_of_range, which
+solver.rhs() also applies to rho^2 at a t clock.
 
 This module alone evaluates a law's time dependence: rho, L, sigma and,
 for the logistic law, int_0^t L (_int_L, which analysis.threshold_integral
@@ -370,15 +371,23 @@ def clock_end(law: EvolutionLaw, end: float, t_clock: bool, name: str = "end") -
     if math.isinf(stop):
         raise ValueError(f"{name}={end} never ends the integration under {law.kind.value}; "
                          "only exp_growth in the sigma clock stops, at its horizon")
-    if t_clock and law.kind is not LawKind.STATIC:
-        try:
-            ends = scale_factor(law, end) ** 2, sigma_of_t(law, end)
-        except OverflowError:
-            ends = (math.inf,)
-        if not all(0.0 < x < math.inf for x in ends):
-            raise ValueError(f"{name}={end} takes rho^2 or sigma out of float range under "
-                             f"{law.kind.value} with beta={law.beta}")
+    if t_clock and _out_of_range(law, end, sigma=True):
+        raise ValueError(f"{name}={end} takes rho^2 or sigma out of float range under "
+                         f"{law.kind.value} with beta={law.beta}")
     return stop
+
+
+def _out_of_range(law: EvolutionLaw, t: float, sigma: bool) -> bool:
+    """Whether rho(t)^2, and with `sigma` sigma(t) too, leaves (0, inf): the
+    float-range rule of an end (clock_end) and of rhs()'s t clock.  Never
+    true under the static law, whose rho is 1 and sigma t."""
+    if law.kind is LawKind.STATIC:
+        return False
+    try:
+        values = scale_factor(law, t) ** 2, sigma_of_t(law, t) if sigma else 1.0
+    except OverflowError:
+        return True
+    return not all(0.0 < x < math.inf for x in values)
 
 
 def coefficient_bounds(

@@ -82,10 +82,13 @@ seventh of the cost per step on 128x128, and a tenth for FULL_RD (2-vCPU
 host).  mesh._widen writes a column into a fresh (ny, nx) array: the new u
 (and v) of a step() call, advance()'s snapshots and the state a run ends
 with.  Any other array a caller passes, and every rhs() call, takes the
-whole grid.  On one CPU of a 2-vCPU host a step() call costs about 39 us
-on exp1's x-invariant 128x128 datum, against about 220 us for a whole-grid
-step, and 27-28 us on shadow_step's 49x49 sigma-clock states, whose column
-_step is 16-17 us.
+whole grid.  step() keeps the column it widened, with its sup and low, on
+the context, and steps it again when the next state's u (and v) has the
+bytes of the one it returned, skipping _on_column's pass and the extremes
+(see step()).  On one CPU of a 2-vCPU host a step() call costs about
+37-38 us on exp1's x-invariant 128x128 datum, against about 220 us for a
+whole-grid step, and 22-23 us on shadow_step's 49x49 sigma-clock states,
+whose column _step is 16-17 us (best of five rounds, CPU time).
 
 _step alone decides a run's verdict and ends it at the terminal clock,
 which advance() samples last; the report takes that verdict and, for
@@ -102,12 +105,13 @@ clock, where an evolving law is exponential, (L, L**e)/(1 - 2 r sigma)
 with L**e worked out, so a step does two divides; under the logistic law,
 L and L**e at each t.  The clock end, and the config's rejection of an end
 that never stops or leaves the float range, are evolution.clock_end's.
-rhs() still checks its clock against the exp_growth horizon, through
-clock_coefficients.  What is bound to the shape of the arrays a step takes
-is a _Layout: the Laplacian, FULL_RD's inhibitor solve and the step
-workspace, which holds the mean's power of u (u^r in a step), u^p, a*u,
-and the Laplacian's own buffers (the rectangle's ghost frame, the ball's
-zero-padded fluxes), all overwritten by every step.  Every family forms u^r
+rhs() still checks its sigma clock against the exp_growth horizon, through
+clock_coefficients, and its t clock against that float-range rule.  What
+is bound to the shape of the arrays a step takes is a _Layout: the
+Laplacian, FULL_RD's inhibitor solve and the step workspace, which holds
+the mean's power of u (u^r in a step), u^p, a*u, and the Laplacian's own
+buffers (the rectangle's ghost frame, the ball's zero-padded fluxes), all
+overwritten by every step.  Every family forms u^r
 before u^p (the mean, or FULL_RD's kinetics), so with r = 2 and p = 4 the
 step squares that u^2 for u^4, the product fast_pow would form.
 _Ctx.layout builds a layout, the whole grid's or the column's, the first
@@ -118,8 +122,9 @@ keeps one on the RunState and rebuilds it only when the config no longer
 equals the snapshot the context was built from, so an in-place edit of a
 RunConfig between calls takes effect, and each build re-runs the config's
 validation.  Because of the workspace, use one RunState per thread:
-copy.copy(state) shares the context, while copy.deepcopy and pickle
-rebuild it from its config, without a layout until the copy steps.
+copy.copy(state) shares the context, and with it the kept column, while
+copy.deepcopy and pickle rebuild it from its config, without a layout or
+a kept column until the copy steps.
 """
 
 from __future__ import annotations
@@ -137,6 +142,7 @@ from .evolution import (
     LawKind,
     _check_dilution,
     _clock_pair,
+    _out_of_range,
     _require_nonnegative,
     clock_coefficients,
     clock_end,
@@ -328,6 +334,9 @@ class _Ctx:
         # step forms for the mean or FULL_RD's kinetics is u^4's factor
         self.up_from_ur = p.r == 2.0 and p.p == 4.0
         self._layouts: dict[tuple[int, ...], _Layout] = {}
+        # step()'s last column step: (_content of the state it returned, its
+        # u and FULL_RD's v columns, and their sup and low); None otherwise
+        self.kept = None
 
     def __reduce__(self):
         # the operators are closures; a copy builds its own layouts, with
@@ -391,7 +400,10 @@ def rhs(
     Returns the pointwise activator rate and, when an inhibitor is present,
     its rate (for FULL_RD: the kinetic part only; the inhibitor diffusion is
     applied inside step() by an exact spectral solve).  Raises ValueError
-    when u, aux or the clock does not fit the config.
+    when u, aux or the clock does not fit the config: a t clock fits while
+    rho(clock)^2 stays in (0, inf) (evolution._out_of_range, the rule
+    clock_end applies to an end), a sigma clock short of the exp_growth
+    horizon.
 
     Each call builds its own context: rhs() has no state to keep one on,
     and a context shared between calls would share its workspace across
@@ -405,6 +417,10 @@ def rhs(
         # the public pair rejects a sigma at or beyond the exp_growth
         # horizon; the context's takes the clock unchecked
         clock_coefficients(config.law, clock, ctx.e, False)
+    elif _out_of_range(config.law, clock, sigma=False):
+        # D1/rho^2 would divide by zero or overflow
+        raise ValueError(f"clock={clock} takes rho^2 out of float range under "
+                         f"{config.law.kind.value} with beta={config.law.beta}")
     du, daux, _ = _rhs_arrays(ctx, ctx.layout(u.values.shape), u.values, aux, clock,
                               _min(u.values), ctx.rho_squared(clock))
     return Field(u.grid, du), daux
@@ -516,6 +532,20 @@ def step(config: RunConfig, state: RunState) -> RunState:
     it) is stepped on its (ny, 1) column (_on_column), as advance() steps
     it, and the new u (and v) widened to (ny, nx): the 2-D step's numbers
     bit for bit.
+
+    A call that steps a column, updates the state and leaves no verdict
+    keeps on the context the bytes of the u (and v) it returns, the
+    columns it widened and their sup and low.  The next call whose u (and
+    v) is float64 with those bytes steps the kept columns with the kept
+    sup and low, without _on_column's x-invariance pass, the column copy
+    or the extremes; any other state takes _on_column.  Equal bytes are
+    equal bits at every entry in C order, whatever the memory order, NaN
+    payloads and signed zeros included, and _step never writes the
+    columns, which no caller holds: so a hit steps exactly the columns
+    _on_column would cut, and an in-place edit of the returned u, or any
+    array of other content, misses.  A copy.copy of the state shares the
+    context and its kept columns, and stays exact because the key is
+    content; copy.deepcopy and pickle keep none.
     Raises ValueError when the config is invalid or the state does not
     fit it.
     """
@@ -526,15 +556,38 @@ def step(config: RunConfig, state: RunState) -> RunState:
         ctx = state._ctx = _Ctx(config)
     u, aux, steps = state.u, state.aux, state.steps
     _check_state(ctx.cfg, u, aux, state.clock)
-    _step(ctx, _on_column(ctx, state), state, _max(state.u), _min(state.u))
+    # taken off the context first, so no error can leave it kept
+    kept, ctx.kept = ctx.kept, None
+    if kept is not None and kept[0] == _content(ctx, u, aux):
+        _, state.u, column_aux, sup, low = kept
+        if ctx.full_rd:
+            state.aux = column_aux
+        lay = ctx.layout(state.u.shape)
+    else:
+        lay = _on_column(ctx, state)
+        sup, low = _max(state.u), _min(state.u)
+    sup, low = _step(ctx, lay, state, sup, low)
     if state.steps == steps:
         # ended before the update: the caller's arrays stay
         state.u, state.aux = u, aux
     else:
-        state.u = _widen(state.u, u.shape)
+        column_u, column_aux = state.u, state.aux
+        state.u = _widen(column_u, u.shape)
         if ctx.full_rd:
-            state.aux = _widen(state.aux, u.shape)
+            state.aux = _widen(column_aux, u.shape)
+        if state.u is not column_u and state.verdict is None:
+            ctx.kept = (_content(ctx, state.u, state.aux), column_u, column_aux, sup, low)
     return state
+
+
+def _content(ctx: _Ctx, u: np.ndarray, aux) -> tuple[bytes, ...] | None:
+    """The key of a kept column: the bytes of u, and of FULL_RD's v, in C
+    order, when they are float64; None otherwise."""
+    if u.dtype != np.float64:
+        return None
+    if not ctx.full_rd:
+        return (u.tobytes(),)
+    return (u.tobytes(), aux.tobytes()) if aux.dtype == np.float64 else None
 
 
 def _on_column(ctx: _Ctx, state: RunState) -> _Layout:

@@ -1123,6 +1123,135 @@ def test_step_takes_the_grid_after_an_in_place_edit_breaks_x_invariance(monkeypa
     assert state.u.tobytes() == edited.u.tobytes()
 
 
+def _count_entries(monkeypatch):
+    """The shape each step() call that misses its context's kept column
+    hands to _step, as _on_column cuts it; a hit appends nothing."""
+    taken = []
+
+    def counted(ctx, state, original=solver._on_column):
+        lay = original(ctx, state)
+        taken.append(state.u.shape)
+        return lay
+    monkeypatch.setattr(solver, "_on_column", counted)
+    return taken
+
+
+def _same_step(state, fresh):
+    assert (state.steps, state.clock, state.dt_last, state.verdict) == (
+        fresh.steps, fresh.clock, fresh.dt_last, fresh.verdict)
+    assert state.u.tobytes() == fresh.u.tobytes()
+    if isinstance(state.aux, np.ndarray):
+        assert state.aux.tobytes() == fresh.aux.tobytes()
+    else:
+        assert state.aux == fresh.aux
+
+
+def _edit_row(state):
+    state.u[3] += 1e-3  # in place, the whole row: still constant along x
+
+
+def _edit_node(state):
+    state.u[3, -1] += 1e-3
+
+
+def _f_ordered(state):
+    state.u = np.asfortranarray(state.u.copy())
+    if isinstance(state.aux, np.ndarray):
+        state.aux = np.asfortranarray(state.aux.copy())
+
+
+def _float32(state):
+    state.u = state.u.astype(np.float32)
+
+
+def _edit_v_row(state):
+    state.aux[3] *= 1.001
+
+
+def _byteswapped(state):
+    # the same bytes read in the other byte order: other values
+    state.u = state.u.view(state.u.dtype.newbyteorder())
+
+
+def _unchanged(state):
+    pass
+
+
+@pytest.mark.parametrize("cfg, edit, entry", [
+    (STEP_COLUMN_CASES["nonlocal_sigma"], _unchanged, None),
+    (STEP_COLUMN_CASES["nonlocal_sigma"], _edit_row, "column"),
+    (STEP_COLUMN_CASES["nonlocal_sigma"], _edit_node, "grid"),
+    (STEP_COLUMN_CASES["nonlocal_sigma"], _f_ordered, None),
+    (STEP_COLUMN_CASES["nonlocal_sigma"], _float32, "grid"),
+    (STEP_COLUMN_CASES["nonlocal_sigma"], _byteswapped, "grid"),
+    (STEP_COLUMN_CASES["shadow_tau"], _unchanged, None),
+    (STEP_COLUMN_CASES["nonlocal_t"], _edit_row, "column"),
+    (FULL_RD_COLUMN, _unchanged, None),
+    (FULL_RD_COLUMN, _f_ordered, None),
+    (FULL_RD_COLUMN, _edit_v_row, "column"),
+    (FULL_RD_COLUMN, _edit_node, "grid"),
+], ids=["unchanged", "row_edit", "node_edit", "f_ordered", "float32", "byteswapped",
+        "shadow_tau",
+        "nonlocal_t_row_edit", "full_rd", "full_rd_f_ordered", "full_rd_v_row_edit",
+        "full_rd_node_edit"])
+def test_step_steps_its_kept_column_only_for_the_bits_it_returned(
+        cfg, edit, entry, monkeypatch):
+    # step() keeps the column of the state it returned; a state whose u
+    # (and v) has those bytes steps it (no _on_column call), any other
+    # misses and is cut afresh.  Either way the step is a fresh state's
+    # (a new context) holding the same arrays, bit for bit.
+    state = RunState.initial(cfg)
+    for _ in range(3):
+        step(cfg, state)
+    edit(state)
+    fresh = dataclasses.replace(state)
+    assert fresh._ctx is None
+    taken = _count_entries(monkeypatch)
+    step(cfg, state)
+    shape = {None: None, "column": (cfg.grid.ny, 1), "grid": cfg.grid.shape}[entry]
+    assert taken == ([] if shape is None else [shape])
+    step(cfg, fresh)
+    _same_step(state, fresh)
+    kept = state._ctx.kept
+    assert (kept is None) is (entry == "grid" or state.verdict is not None)
+    if kept is not None:
+        # the sup and low a hit steps with are the returned u's
+        assert kept[-2:] == (solver._max(state.u), solver._min(state.u))
+    # a column step keeps its column again; a grid step keeps none
+    if state.verdict is None:
+        taken.clear()
+        step(cfg, state)
+        assert len(taken) == (entry == "grid")
+
+
+@pytest.mark.parametrize("cfg", [STEP_COLUMN_CASES["nonlocal_sigma"], FULL_RD_COLUMN],
+                         ids=["nonlocal_sigma", "full_rd"])
+@pytest.mark.parametrize("diverged", [False, True], ids=["equal", "diverged"])
+def test_shallow_copies_sharing_a_context_step_alternately_as_alone(
+        cfg, diverged, monkeypatch):
+    # copy.copy shares the context and so its one kept column; the key is
+    # content, so each state steps as it would alone
+    state = RunState.initial(cfg)
+    step(cfg, state)
+    twin = copy.copy(state)
+    assert twin._ctx is state._ctx
+    if diverged:
+        twin.u = twin.u.copy()
+        _edit_row(twin)
+    solo = [dataclasses.replace(state), dataclasses.replace(twin)]
+    taken = _count_entries(monkeypatch)
+    for _ in range(6):
+        step(cfg, state)
+        step(cfg, twin)
+    # equal twins: each state's u is the bytes the other just returned
+    assert len(taken) == (11 if diverged else 6)
+    for alone in solo:
+        for _ in range(6):
+            step(cfg, alone)
+    _same_step(state, solo[0])
+    _same_step(twin, solo[1])
+
+
 @pytest.mark.parametrize("inf", [math.inf, -math.inf], ids=["+inf", "-inf"])
 @pytest.mark.parametrize("system", [SystemKind.NONLOCAL_SIGMA, SystemKind.SHADOW_TAU],
                          ids=["nonlocal_sigma", "shadow_tau"])
@@ -1226,6 +1355,34 @@ def test_rhs_rejects_a_sigma_at_or_beyond_the_exp_growth_horizon():
     for sigma in (5.0, 7.0):
         with pytest.raises(ValueError, match="at or beyond the exp_growth horizon 5.0"):
             rhs(cfg, u, None, sigma)
+
+
+@pytest.mark.parametrize("system", [SystemKind.NONLOCAL_T, SystemKind.FULL_RD],
+                         ids=["nonlocal_t", "full_rd"])
+@pytest.mark.parametrize("law", [DECAY, GROWTH], ids=lambda law: law.kind.value)
+@pytest.mark.parametrize("clock", [5000.0, math.inf], ids=["5000", "inf"])
+def test_rhs_rejects_a_t_clock_that_takes_rho_squared_out_of_float_range(
+        system, law, clock):
+    # rho^2 underflows to 0 under exp_decay and overflows under exp_growth:
+    # D1/rho^2 would divide by zero or raise OverflowError; at clock = inf
+    # exp_growth's rho^2 is inf, once accepted with a zero diffusion
+    cfg = small_cfg(system=system, params=TAU, law=law, grid=RectGrid(5, 5), v0=2.0)
+    aux = np.full(cfg.grid.shape, 2.0) if system is SystemKind.FULL_RD else None
+    message = f"clock={clock} takes rho^2 out of float range under {law.kind.value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rhs(cfg, const_field(cfg.grid, 2.0), aux, clock)
+
+
+@pytest.mark.parametrize("system", [SystemKind.NONLOCAL_T, SystemKind.FULL_RD],
+                         ids=["nonlocal_t", "full_rd"])
+@pytest.mark.parametrize("law", [STATIC, LATE_LOGISTIC], ids=lambda law: law.kind.value)
+@pytest.mark.parametrize("clock", [5000.0, math.inf], ids=["5000", "inf"])
+def test_rhs_takes_static_and_logistic_t_clocks_up_to_inf(system, law, clock):
+    cfg = small_cfg(system=system, params=TAU, law=law, grid=RectGrid(5, 5), v0=2.0)
+    aux = np.full(cfg.grid.shape, 2.0) if system is SystemKind.FULL_RD else None
+    du, daux = rhs(cfg, const_field(cfg.grid, 2.0), aux, clock)
+    assert np.isfinite(du.values).all()
+    assert daux is None or np.isfinite(daux).all()
 
 
 # ------------------------------------------------------- step's context

@@ -9,6 +9,11 @@ and SHADOW_TAU on 49x49 under exp_decay, and a NONLOCAL_SIGMA exp_growth
 run that stops just short of its horizon), with `python -m gmshadow.cli
 run` from that checkout's src.  Every preset runs on the t clock, so
 without the configs the gate would never run the sigma-clock coefficients.
+The CLI runs advance() alone, so each config is also driven through the
+public step() loop, from RunState.initial to its verdict, in a child
+process on that checkout's src (STEP_DIGEST); it writes
+step/<config>.txt into the tree, one line per step() call: the sha256 of
+u's bytes, the clock, dt_last and the verdict (None until the last call).
 Each checkout runs them twice: pooled (the runs of a preset in worker
 processes, one per usable CPU) and pinned to one CPU, where they run one
 after another in one process.  The pin is the child's own affinity, set
@@ -44,17 +49,37 @@ from pathlib import Path
 PRESETS = ("exp1", "exp1q", "exp2a", "exp2b", "exp3", "exp4")
 CONFIGS = tuple(Path(__file__).resolve().with_name(f"sigma_{name}.ini")
                 for name in ("nonlocal", "shadow_tau", "growth_horizon"))
+# run as `python -c STEP_DIGEST CONFIG OUT` on a checkout's src
+STEP_DIGEST = """
+import hashlib, sys
+from gmshadow import RunState, step
+from gmshadow.cli import parse_config
+cfg = parse_config(sys.argv[1])
+state = RunState.initial(cfg)
+with open(sys.argv[2], "w") as out:
+    while state.verdict is None:
+        step(cfg, state)
+        verdict = state.verdict and state.verdict.value
+        out.write(f"{hashlib.sha256(state.u.tobytes()).hexdigest()} "
+                  f"{state.clock!r} {state.dt_last!r} {verdict}\\n")
+"""
 
 
 def run_presets(checkout: Path, outdir: Path, cpu: int | None) -> None:
-    """Every preset and config from checkout's src into outdir; on CPU
-    `cpu` alone when it is given, pooled otherwise."""
+    """Every preset and config from checkout's src into outdir, and every
+    config's step() digest into outdir/step; on CPU `cpu` alone when it is
+    given, pooled otherwise."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
-    for target in (*PRESETS, *map(str, CONFIGS)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "gmshadow.cli", "run", target, "--outdir", str(outdir)],
-            cwd=checkout, env=env, preexec_fn=pin, capture_output=True, text=True)
+    (outdir / "step").mkdir(parents=True)
+    commands = [(target, ["-m", "gmshadow.cli", "run", target, "--outdir", str(outdir)])
+                for target in (*PRESETS, *map(str, CONFIGS))]
+    commands += [(f"step() on {config}", ["-c", STEP_DIGEST, str(config),
+                                           str(outdir / "step" / f"{config.stem}.txt")])
+                 for config in CONFIGS]
+    for target, args in commands:
+        proc = subprocess.run([sys.executable, *args], cwd=checkout, env=env,
+                              preexec_fn=pin, capture_output=True, text=True)
         nonfinite = proc.returncode == 1 and "verdict=NonFinite" in proc.stdout
         if proc.returncode != 0 and not nonfinite:
             print(f"{checkout}: {target} failed with exit status "
