@@ -384,7 +384,7 @@ def _out_of_range(law: EvolutionLaw, t: float, sigma: bool) -> bool:
     if law.kind is LawKind.STATIC:
         return False
     try:
-        values = scale_factor(law, t) ** 2, sigma_of_t(law, t) if sigma else 1.0
+        values = scale_factor(law, t) ** 2, (sigma_of_t(law, t) if sigma else 1.0)
     except OverflowError:
         return True
     return not all(0.0 < x < math.inf for x in values)
